@@ -224,19 +224,17 @@ def cmd_refute(args) -> int:
         )
         report.trace_lines.extend(_trace_lines(seed, result))
         report.timing_lines.append(f"timing seed {seed}: elapsed={result.elapsed:.3f}s")
-        if best_result is None or result.best_score > best_result.best_score:
-            best_result, best_seed = result, seed
-        if result.found:
-            verdict = verify_strict(args.conjecture, result.best_graph)
-            if verdict is Verdict.CERTIFIED:
-                best_result, best_seed = result, seed
-                break
+        # A verdict is only ever reported next to the seed it was reached for.
+        seed_verdict = verify_strict(args.conjecture, result.best_graph) if result.found else None
+        certified = seed_verdict is Verdict.CERTIFIED
+        if best_result is None or certified or result.best_score > best_result.best_score:
+            best_result, best_seed, verdict = result, seed, seed_verdict
+        if certified:
+            break
     assert best_result is not None
     report.found = best_result.found
     if best_result.found:
         detail = score(args.conjecture, best_result.best_graph, polish=True)
-        if verdict is None:
-            verdict = verify_strict(args.conjecture, best_result.best_graph)
         report.verdict = verdict
         report.best_seed = best_seed
         report.best_graph6 = encode_graph6(best_result.best_graph)

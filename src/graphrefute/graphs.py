@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -360,30 +359,10 @@ def random_playout(g: Graph, depth: int, space: SearchSpace, rng: random.Random)
 
 # -- distances ---------------------------------------------------------------
 
-# Below this order a plain BFS beats the vectorised sweep.
-_BFS_CUTOFF = 64
-
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Return the n x n integer distance matrix of a connected graph."""
     n = g.n
-    if n <= _BFS_CUTOFF:
-        dist = np.full((n, n), -1, dtype=np.int64)
-        adj = g._adj
-        for s in range(n):
-            row = dist[s]
-            row[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                du = row[u] + 1
-                for v in adj[u]:
-                    if row[v] < 0:
-                        row[v] = du
-                        q.append(v)
-        if dist.min() < 0:
-            raise GraphError("distance matrix requires a connected graph")
-        return dist
     # Level-synchronous BFS from all sources at once via boolean matmul.
     a = np.zeros((n, n), dtype=np.float32)
     for u, v in g.edges():

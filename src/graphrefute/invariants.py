@@ -257,15 +257,13 @@ class PeakStats:
     ``m``: that list's last index (for a tree, its matching number);
     ``p_d``: index maximizing the normalized distance coefficients
     2^i * |d_i| over i = 0..n-2, compared as exact integers.
-    ``p_d_from_one`` restricts that argmax to 1..n-2 (None when empty);
-    it is recorded for diagnostics only. Ties break to the smallest index.
+    Ties break to the smallest index.
     """
 
     p_a: int
     m: int
     p_d: int
     n: int
-    p_d_from_one: int | None
 
 
 def peak_stats(t: Graph) -> PeakStats:
@@ -282,12 +280,7 @@ def peak_stats(t: Graph) -> PeakStats:
     cpd = distance_char_poly(t)
     scaled = [abs(cpd.coeffs[i]) << i for i in range(n - 1)]
     p_d = scaled.index(max(scaled))
-    if n >= 3:
-        tail = scaled[1:]
-        p_d_from_one = 1 + tail.index(max(tail))
-    else:
-        p_d_from_one = None
-    return PeakStats(p_a=p_a, m=m, p_d=p_d, n=n, p_d_from_one=p_d_from_one)
+    return PeakStats(p_a=p_a, m=m, p_d=p_d, n=n)
 
 
 # -- metric invariants --------------------------------------------------------
@@ -305,14 +298,6 @@ def proximity(g: Graph) -> Fraction:
     dist = all_pairs_distances(g)
     best = min(int(s) for s in dist.sum(axis=1))
     return Fraction(best, g.n - 1)
-
-
-def proximity_float(g: Graph) -> float:
-    """Floating-point proximity, for cross-checking the exact value."""
-    if g.n < 2:
-        raise GraphError("proximity requires at least 2 vertices")
-    dist = all_pairs_distances(g).astype(np.float64)
-    return float(dist.sum(axis=1).min()) / (g.n - 1)
 
 
 # -- degree-based indices -----------------------------------------------------
@@ -352,11 +337,6 @@ def harmonic(g: Graph) -> Fraction:
     for u, v in g.edges():
         total += Fraction(2, g.degree(u) + g.degree(v))
     return total
-
-
-def harmonic_float(g: Graph) -> float:
-    """Floating-point harmonic index, for cross-checking the exact value."""
-    return math.fsum(2.0 / (g.degree(u) + g.degree(v)) for u, v in g.edges())
 
 
 # -- matching number (blossom algorithm) -------------------------------------

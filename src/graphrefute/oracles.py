@@ -1,13 +1,16 @@
-"""Exhaustive reference implementations for small graphs.
+"""Reference implementations for cross-checking the fast invariants.
 
 These are deliberately naive: independent correctness anchors for the fast
 solvers in :mod:`graphrefute.invariants`. Keep them simple enough to audit
-by eye; they are only meant for graphs of roughly a dozen vertices.
+by eye. The exhaustive ones are only meant for graphs of roughly a dozen
+vertices; the floating-point ones recompute exact indices in floats.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph
+import math
+
+from .graphs import Graph, GraphError, all_pairs_distances
 
 
 def independence_number_exhaustive(g: Graph) -> int:
@@ -95,3 +98,16 @@ def count_matchings_by_size(g: Graph) -> list[int]:
 
     extend(0, 0, 0)
     return counts
+
+
+def proximity_float(g: Graph) -> float:
+    """Floating-point proximity, for cross-checking the exact value."""
+    if g.n < 2:
+        raise GraphError("proximity requires at least 2 vertices")
+    dist = all_pairs_distances(g).astype(float)
+    return float(dist.sum(axis=1).min()) / (g.n - 1)
+
+
+def harmonic_float(g: Graph) -> float:
+    """Floating-point harmonic index, for cross-checking the exact value."""
+    return math.fsum(2.0 / (g.degree(u) + g.degree(v)) for u, v in g.edges())

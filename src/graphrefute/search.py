@@ -62,7 +62,6 @@ class SearchResult:
     found: bool
     iterations: int  # accepted improvements
     loop_passes: int
-    nmcs_calls: int
     elapsed: float
     budget_exhausted: bool
     trace: list[TraceRecord] = field(default_factory=list)
@@ -168,7 +167,6 @@ def amcs(
     depth, level = 0, 1
     iterations = 0
     loop_passes = 0
-    nmcs_calls = 0
     budget_exhausted = False
     trace = [
         TraceRecord(0, 0, 0, 0, initial.n, initial.m, best_score, True, 0.0)
@@ -189,7 +187,6 @@ def amcs(
             rng,
             deadline,
         )
-        nmcs_calls += 1
         accepted = cand_score > best_score
         used_depth, used_level = depth, level
         if accepted:
@@ -221,7 +218,6 @@ def amcs(
         found=best_score > params.tau,
         iterations=iterations,
         loop_passes=loop_passes,
-        nmcs_calls=nmcs_calls,
         elapsed=elapsed,
         budget_exhausted=budget_exhausted,
         trace=trace,

@@ -5,10 +5,13 @@ from __future__ import annotations
 import pytest
 
 from conftest import write_g6
+from graphrefute import cli
 from graphrefute.cli import main
-from graphrefute.codec import decode_graph6
+from graphrefute.codec import decode_graph6, encode_graph6
+from graphrefute.conjectures import Verdict
 from graphrefute.families import build_family
-from graphrefute.graphs import cycle, path
+from graphrefute.graphs import cycle, path, star
+from graphrefute.search import SearchResult
 
 
 def run(capsys, argv):
@@ -114,6 +117,30 @@ def test_refute_multi_seed_stops_at_first_certified(capsys):
     assert "best_seed: 2" in out
     assert "seed 2:" in out
     assert "seed 3:" not in out
+
+
+def test_refute_multi_seed_reports_best_seeds_own_verdict(monkeypatch, capsys):
+    # Seed 1 scores higher but is only uncertain; seed 2's rejection must not
+    # be reported against seed 1's graph.
+    found = {1: (star(5), 0.5), 2: (path(5), 0.3)}
+    verdicts = {star(5): Verdict.UNCERTAIN, path(5): Verdict.REJECTED}
+
+    def fake_amcs(initial, params, score_fn, space, rng):
+        graph, value = found[params.seed]
+        return SearchResult(
+            best_graph=graph, best_score=value, found=True, iterations=1,
+            loop_passes=1, elapsed=0.0, budget_exhausted=False,
+        )
+
+    monkeypatch.setattr(cli, "amcs", fake_amcs)
+    monkeypatch.setattr(cli, "verify_strict", lambda cid, g: verdicts[g])
+    code, out, _ = run(capsys, [
+        "refute", "--conjecture", "1", "--initial", "path:5", "--seeds", "1,2",
+    ])
+    assert code == 3
+    assert "best_seed: 1" in out
+    assert f"best_graph6: {encode_graph6(star(5))}" in out
+    assert "verdict: uncertain" in out
 
 
 def test_refute_rejects_bad_initial(capsys):

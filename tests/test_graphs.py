@@ -235,8 +235,10 @@ def test_prune_moves_preserve_connectivity(seed, n):
 def test_all_pairs_distances_matches_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(11)
-    for n in (2, 5, 9, 13):
-        g = random_connected_graph(n, rng)
+    graphs = [random_connected_graph(n, rng) for n in (1, 2, 5, 9, 13, 40, 64, 65, 100)]
+    graphs.append(random_connected_graph(70, rng, chord_prob=0))
+    for g in graphs:
+        n = g.n
         dist = all_pairs_distances(g)
         expected = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
         for u in range(n):
@@ -245,7 +247,7 @@ def test_all_pairs_distances_matches_networkx():
 
 
 def test_all_pairs_distances_large_graph_path():
-    # Orders above the BFS cutoff go through the matrix-product route.
+    # A long path needs many frontier levels and keeps the int64 dtype.
     n = 80
     g = path(n)
     dist = all_pairs_distances(g)
