@@ -244,7 +244,7 @@ def _score_2(g: Graph, polish: bool) -> Score:
     k = (2 * diam) // 3
     if k < 1:
         return _undefined("floor(2*diameter/3) < 1")
-    prox = Fraction(min(int(s) for s in dist.sum(axis=1)), g.n - 1)
+    prox = inv.proximity_from_distances(dist)
     sp = inv.symmetric_spectrum(dist, descending=True, polish=polish)
     partial = sp.values[k - 1]
     value = -float(prox) - partial
@@ -405,9 +405,8 @@ def _mp_score(conjecture_id: int, g: Graph) -> "mp.mpf | None":
             k = (2 * int(dist.max())) // 3
             if k < 1:
                 return mp.mpf("-inf")
-            prox = Fraction(min(int(s) for s in dist.sum(axis=1)), n - 1)
-            eigs = _mp_eigenvalues(dist.tolist())
-            partial = eigs[-k]
+            prox = inv.proximity_from_distances(dist)
+            partial = _mp_eigenvalues(dist.tolist())[-k]
             return -mp.mpf(prox.numerator) / prox.denominator - partial
         if conjecture_id == 4:
             if n < 2:

@@ -363,6 +363,8 @@ def random_playout(g: Graph, depth: int, space: SearchSpace, rng: random.Random)
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Return the n x n integer distance matrix of a connected graph."""
     n = g.n
+    if g.m == n - 1:
+        return _tree_distances(g)
     # Level-synchronous BFS from all sources at once via boolean matmul.
     a = np.zeros((n, n), dtype=np.float32)
     for u, v in g.edges():
@@ -383,3 +385,33 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     if not reach.all():
         raise GraphError("distance matrix requires a connected graph")
     return dist
+
+
+def _tree_distances(g: Graph) -> np.ndarray:
+    """Distances of a graph with n - 1 edges: a tree, or else disconnected.
+
+    Row v of ``anc`` marks v and its ancestors in a DFS tree rooted at 0, so
+    ``anc @ anc.T`` counts common ancestors, depth(lca) + 1, and the row sums
+    are depth + 1. Then d(i, j) = depth_i + depth_j - 2 depth(lca). Float32
+    holds these integers exactly.
+    """
+    n = g.n
+    # Rows start as int bitsets (v's is its parent's plus bit v) and are
+    # unpacked once, zero-padded to whole bytes: cheaper than n numpy row
+    # copies at the orders a search visits.
+    rows = [0] * n
+    rows[0] = 1
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in g._adj[u]:
+            if not rows[v]:
+                rows[v] = rows[u] | 1 << v
+                stack.append(v)
+    if not all(rows):
+        raise GraphError("distance matrix requires a connected graph")
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in rows]), np.uint8)
+    anc = np.unpackbits(packed, bitorder="little").reshape(n, 8 * width).astype(np.float32)
+    size = anc.sum(axis=1)
+    return (size[:, None] + size[None, :] - 2 * (anc @ anc.T)).astype(np.int64)

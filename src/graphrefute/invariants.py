@@ -293,11 +293,14 @@ def diameter(g: Graph) -> int:
 
 def proximity(g: Graph) -> Fraction:
     """Minimum average distance from a vertex to all others, exact."""
-    if g.n < 2:
+    return proximity_from_distances(all_pairs_distances(g))
+
+
+def proximity_from_distances(dist: np.ndarray) -> Fraction:
+    """Proximity read off a distance matrix: its least row sum over n - 1."""
+    if len(dist) < 2:
         raise GraphError("proximity requires at least 2 vertices")
-    dist = all_pairs_distances(g)
-    best = min(int(s) for s in dist.sum(axis=1))
-    return Fraction(best, g.n - 1)
+    return Fraction(int(dist.sum(axis=1).min()), len(dist) - 1)
 
 
 # -- degree-based indices -----------------------------------------------------

@@ -9,8 +9,9 @@ vertices; the floating-point ones recompute exact indices in floats.
 from __future__ import annotations
 
 import math
+from collections import deque
 
-from .graphs import Graph, GraphError, all_pairs_distances
+from .graphs import Graph, GraphError
 
 
 def independence_number_exhaustive(g: Graph) -> int:
@@ -100,12 +101,28 @@ def count_matchings_by_size(g: Graph) -> list[int]:
     return counts
 
 
+def distances_bfs(g: Graph) -> list[list[int]]:
+    """All-pairs distances by one plain BFS per source; -1 marks unreachable."""
+    rows = []
+    for s in range(g.n):
+        dist = [-1] * g.n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in g.neighbors(u):
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        rows.append(dist)
+    return rows
+
+
 def proximity_float(g: Graph) -> float:
     """Floating-point proximity, for cross-checking the exact value."""
     if g.n < 2:
         raise GraphError("proximity requires at least 2 vertices")
-    dist = all_pairs_distances(g).astype(float)
-    return float(dist.sum(axis=1).min()) / (g.n - 1)
+    return min(sum(row) for row in distances_bfs(g)) / (g.n - 1)
 
 
 def harmonic_float(g: Graph) -> float:

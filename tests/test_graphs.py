@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, to_networkx
+from conftest import from_networkx, random_connected_graph, to_networkx
+from graphrefute import oracles
 from graphrefute.graphs import (
     Graph,
     GraphError,
@@ -247,16 +248,44 @@ def test_all_pairs_distances_matches_networkx():
 
 
 def test_all_pairs_distances_large_graph_path():
-    # A long path needs many frontier levels and keeps the int64 dtype.
+    # Both routines keep the int64 dtype: the path is a tree, and the cycle
+    # needs many frontier levels of the sweep.
     n = 80
-    g = path(n)
-    dist = all_pairs_distances(g)
-    assert dist.dtype == np.int64
-    for u in range(0, n, 17):
-        for v in range(0, n, 13):
-            assert dist[u][v] == abs(u - v)
+    for g, wrap in ((path(n), False), (cycle(n), True)):
+        dist = all_pairs_distances(g)
+        assert dist.dtype == np.int64
+        for u in range(0, n, 17):
+            for v in range(0, n, 13):
+                d = abs(u - v)
+                assert dist[u][v] == (min(d, n - d) if wrap else d)
 
 
 def test_all_pairs_distances_requires_connected():
     with pytest.raises(GraphError):
         all_pairs_distances(Graph(3, [(0, 1)]))
+    # n - 1 edges but disconnected: a triangle or a 4-cycle plus an isolated vertex.
+    with pytest.raises(GraphError):
+        all_pairs_distances(Graph(4, [(0, 1), (1, 2), (0, 2)]))
+    with pytest.raises(GraphError):
+        all_pairs_distances(Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+
+
+def test_all_pairs_distances_matches_bfs_on_small_graphs():
+    nx = pytest.importorskip("networkx")
+    connected = [
+        from_networkx(h)
+        for h in nx.graph_atlas_g()
+        if h.number_of_nodes() >= 1 and nx.is_connected(h)
+    ]
+    assert len(connected) > 900  # every connected graph on <= 7 vertices
+    for g in connected:
+        assert all_pairs_distances(g).tolist() == oracles.distances_bfs(g)
+
+
+def test_all_pairs_distances_matches_bfs_on_random_graphs():
+    # Even draws are trees (the closed-form path), odd ones carry chords (the sweep).
+    rng = random.Random(2024)
+    for i in range(500):
+        n = rng.randint(1, 250)
+        g = random_connected_graph(n, rng, chord_prob=0.0 if i % 2 == 0 else 0.05)
+        assert all_pairs_distances(g).tolist() == oracles.distances_bfs(g)
