@@ -116,7 +116,7 @@ class RunReport:
         return out
 
 
-def _parse_initial(recipe: str, conjecture_id: int, rng: random.Random) -> Graph:
+def _parse_initial(recipe: str, rng: random.Random) -> Graph:
     """Build the starting graph from a recipe like 'path:13' or 'file:g.g6'."""
     kind, _, arg = recipe.partition(":")
     if kind == "file":
@@ -192,7 +192,7 @@ def cmd_refute(args) -> int:
     for seed in seeds:
         rng = random.Random(seed)
         try:
-            initial = _parse_initial(recipe, args.conjecture, rng)
+            initial = _parse_initial(recipe, rng)
         except (GraphError, Graph6Error) as exc:
             print(f"graphrefute: {exc}", file=sys.stderr)
             return EXIT_DATA
@@ -371,9 +371,12 @@ def cmd_list(args) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        seeds = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed list {text!r}")
+    return seeds
 
 
 def build_parser() -> _Parser:

@@ -226,11 +226,48 @@ def check_hypotheses(conjecture_id: int, g: Graph) -> list[str]:
 # -- score functions ----------------------------------------------------------
 
 
-def _score_1(g: Graph, polish: bool) -> Score:
-    sp = inv.adjacency_spectrum(g, polish=polish)
+class _Arithmetic:
+    """The numbers a score formula is evaluated in.
+
+    ``spectrum(matrix, descending)`` returns the eigenvalues of a symmetric
+    integer matrix, and ``num`` turns an int or Fraction into a number of
+    this arithmetic. Each score formula is written once against these.
+    """
+
+    def __init__(self, spectrum, sqrt, cos, pi, fsum, num):
+        self.spectrum, self.sqrt, self.cos = spectrum, sqrt, cos
+        self.pi, self.fsum, self.num = pi, fsum, num
+
+
+def _floats(polish: bool) -> _Arithmetic:
+    def spectrum(m, descending: bool) -> inv.Spectrum:
+        return inv.symmetric_spectrum(m, descending=descending, polish=polish)
+
+    return _Arithmetic(spectrum, math.sqrt, math.cos, math.pi, math.fsum, float)
+
+
+def _mp_spectrum(m, descending: bool) -> inv.Spectrum:
+    e = mp.eigsy(mp.matrix(m.tolist()), eigvals_only=True)
+    values = sorted((e[i] for i in range(e.rows)), reverse=descending)
+    # No bound of its own: verify_strict reads only the value, against its
+    # zero band.
+    return inv.Spectrum(tuple(values), 0.0)
+
+
+_FAST = _floats(polish=False)
+_POLISHED = _floats(polish=True)
+# Evaluate inside mp.workdps(_MP_DPS).
+_DIGITS60 = _Arithmetic(
+    _mp_spectrum, mp.sqrt, mp.cos, mp.pi, mp.fsum,
+    lambda q: mp.mpf(q.numerator) / q.denominator,
+)
+
+
+def _score_1(g: Graph, ar: _Arithmetic) -> Score:
+    sp = ar.spectrum(inv.adjacency_matrix(g), descending=True)
     lam = sp.values[0]
     mu = inv.matching_number(g)
-    root = math.sqrt(g.n - 1)
+    root = ar.sqrt(g.n - 1)
     value = root + 1.0 - lam - mu
     err = sp.residual_bound + _slop(root, lam, mu)
     return Score(value, None, err, {
@@ -238,24 +275,24 @@ def _score_1(g: Graph, polish: bool) -> Score:
     })
 
 
-def _score_2(g: Graph, polish: bool) -> Score:
+def _score_2(g: Graph, ar: _Arithmetic) -> Score:
     dist = inv.distance_matrix(g)
     diam = int(dist.max())
     k = (2 * diam) // 3
     if k < 1:
         return _undefined("floor(2*diameter/3) < 1")
     prox = inv.proximity_from_distances(dist)
-    sp = inv.symmetric_spectrum(dist, descending=True, polish=polish)
+    sp = ar.spectrum(dist, descending=True)
     partial = sp.values[k - 1]
-    value = -float(prox) - partial
-    err = sp.residual_bound + _slop(float(prox), partial)
+    value = -ar.num(prox) - partial
+    err = sp.residual_bound + _slop(ar.num(prox), partial)
     return Score(value, None, err, {
         "n": g.n, "proximity": prox, "diameter": diam, "k": k,
         "distance_eigenvalue_k": partial,
     })
 
 
-def _score_3(g: Graph, polish: bool) -> Score:
+def _score_3(g: Graph, ar: _Arithmetic) -> Score:
     ps = inv.peak_stats(g)
     gap = Fraction(ps.p_a, ps.m) - 1 + Fraction(ps.p_d, g.n)
     exact = abs(gap)
@@ -264,20 +301,20 @@ def _score_3(g: Graph, polish: bool) -> Score:
     })
 
 
-def _score_4(g: Graph, polish: bool) -> Score:
+def _score_4(g: Graph, ar: _Arithmetic) -> Score:
     if g.n < 2:
         return _undefined("lambda_2 needs at least 2 vertices")
-    sp = inv.adjacency_spectrum(g, polish=polish)
+    sp = ar.spectrum(inv.adjacency_matrix(g), descending=True)
     lam2 = sp.values[1]
     h = inv.harmonic(g)
-    value = lam2 - float(h)
-    err = sp.residual_bound + _slop(lam2, float(h))
+    value = lam2 - ar.num(h)
+    err = sp.residual_bound + _slop(lam2, ar.num(h))
     return Score(value, None, err, {
         "n": g.n, "lambda_2": lam2, "harmonic": h,
     })
 
 
-def _score_5(g: Graph, polish: bool) -> Score:
+def _score_5(g: Graph, ar: _Arithmetic) -> Score:
     mz = inv.modified_second_zagreb(g)
     exact = mz - Fraction(g.n + 1, 4)
     return Score(float(exact), exact, 0.0, {
@@ -285,7 +322,7 @@ def _score_5(g: Graph, polish: bool) -> Score:
     })
 
 
-def _score_6(g: Graph, polish: bool) -> Score:
+def _score_6(g: Graph, ar: _Arithmetic) -> Score:
     gamma = inv.domination_number(g)
     if gamma == g.n:
         return _undefined("domination number equals the order")
@@ -296,42 +333,42 @@ def _score_6(g: Graph, polish: bool) -> Score:
     })
 
 
-def _score_7(g: Graph, polish: bool) -> Score:
-    sp = inv.adjacency_spectrum(g, polish=polish)
+def _score_7(g: Graph, ar: _Arithmetic) -> Score:
+    sp = ar.spectrum(inv.adjacency_matrix(g), descending=True)
     lam = sp.values[0]
     prox = inv.proximity(g)
-    value = lam * float(prox) - g.n + 1
-    err = sp.residual_bound * float(prox) + _slop(lam * float(prox), g.n)
+    value = lam * ar.num(prox) - g.n + 1
+    err = sp.residual_bound * ar.num(prox) + _slop(lam * ar.num(prox), g.n)
     return Score(value, None, err, {
         "n": g.n, "lambda_1": lam, "proximity": prox,
     })
 
 
-def _cosine_bound(n: int) -> float:
-    c = 1.0 - math.cos(math.pi / n)
+def _cosine_bound(n: int, ar: _Arithmetic):
+    c = 1.0 - ar.cos(ar.pi / n)
     if n % 2 == 0:
         return n * n * c / (2.0 * (n - 1))
     return (n + 1) * c / 2.0
 
 
-def _score_8(g: Graph, polish: bool) -> Score:
-    sp = inv.laplacian_spectrum(g, polish=polish)
+def _score_8(g: Graph, ar: _Arithmetic) -> Score:
+    sp = ar.spectrum(inv.laplacian_matrix(g), descending=False)
     a = sp.values[1]
     prox = inv.proximity(g)
-    bound = _cosine_bound(g.n)
-    value = bound - a * float(prox)
-    err = sp.residual_bound * float(prox) + _slop(bound, a * float(prox))
+    bound = _cosine_bound(g.n, ar)
+    value = bound - a * ar.num(prox)
+    err = sp.residual_bound * ar.num(prox) + _slop(bound, a * ar.num(prox))
     return Score(value, None, err, {
         "n": g.n, "cosine_bound": bound, "algebraic_connectivity": a,
         "proximity": prox,
     })
 
 
-def _score_9(g: Graph, polish: bool) -> Score:
-    sp = inv.adjacency_spectrum(g, polish=polish)
+def _score_9(g: Graph, ar: _Arithmetic) -> Score:
+    sp = ar.spectrum(inv.adjacency_matrix(g), descending=True)
     lam = sp.values[0]
     alpha = inv.independence_number(g)
-    root = math.sqrt(g.n - 1)
+    root = ar.sqrt(g.n - 1)
     value = root - g.n + 1.0 - lam + alpha
     err = sp.residual_bound + _slop(root, g.n, lam, alpha)
     return Score(value, None, err, {
@@ -339,10 +376,11 @@ def _score_9(g: Graph, polish: bool) -> Score:
     })
 
 
-def _score_10(g: Graph, polish: bool) -> Score:
-    r = inv.randic(g)
+def _score_10(g: Graph, ar: _Arithmetic) -> Score:
+    # The Randic index, (d_u d_v)^(-1/2) summed over edges.
+    r = ar.fsum(ar.num(g.degree(u) * g.degree(v)) ** -0.5 for u, v in g.edges())
     alpha = inv.independence_number(g)
-    root = math.sqrt(g.n - 1)
+    root = ar.sqrt(g.n - 1)
     value = r + alpha - g.n + 1.0 - root
     err = _slop(r, alpha, g.n, root) + 8.0 * _MACH_EPS * g.m
     return Score(value, None, err, {
@@ -350,7 +388,7 @@ def _score_10(g: Graph, polish: bool) -> Score:
     })
 
 
-_SCORERS: dict[int, Callable[[Graph, bool], Score]] = {
+_SCORERS: dict[int, Callable[[Graph, _Arithmetic], Score]] = {
     1: _score_1, 2: _score_2, 3: _score_3, 4: _score_4, 5: _score_5,
     6: _score_6, 7: _score_7, 8: _score_8, 9: _score_9, 10: _score_10,
 }
@@ -369,75 +407,17 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
         raise HypothesisError(
             f"conjecture {conjecture_id}: " + "; ".join(spec_violations)
         )
-    return _SCORERS[conjecture_id](g, polish)
+    return _SCORERS[conjecture_id](g, _POLISHED if polish else _FAST)
 
 
 def is_counterexample(conjecture_id: int, g: Graph, tau: float = 1e-9) -> bool:
     """True when g meets the hypotheses and scores strictly above tau."""
     if check_hypotheses(conjecture_id, g):
         return False
-    return _SCORERS[conjecture_id](g, False).value > tau
+    return _SCORERS[conjecture_id](g, _FAST).value > tau
 
 
 # -- strict verification -------------------------------------------------------
-
-
-def _mp_eigenvalues(matrix_rows: list[list[int]]) -> list:
-    e = mp.eigsy(mp.matrix(matrix_rows), eigvals_only=True)
-    return sorted(e[i] for i in range(e.rows))
-
-
-def _mp_score(conjecture_id: int, g: Graph) -> "mp.mpf | None":
-    """Re-evaluate a spectral score at 60 significant digits.
-
-    Returns None when the graph is too large for the multiprecision
-    eigensolver to be practical.
-    """
-    if g.n > MP_MAX_ORDER:
-        return None
-    n = g.n
-    with mp.workdps(_MP_DPS):
-        if conjecture_id == 1:
-            lam = _mp_eigenvalues(inv.adjacency_matrix(g).tolist())[-1]
-            return mp.sqrt(n - 1) + 1 - lam - inv.matching_number(g)
-        if conjecture_id == 2:
-            dist = inv.distance_matrix(g)
-            k = (2 * int(dist.max())) // 3
-            if k < 1:
-                return mp.mpf("-inf")
-            prox = inv.proximity_from_distances(dist)
-            partial = _mp_eigenvalues(dist.tolist())[-k]
-            return -mp.mpf(prox.numerator) / prox.denominator - partial
-        if conjecture_id == 4:
-            if n < 2:
-                return mp.mpf("-inf")
-            lam2 = _mp_eigenvalues(inv.adjacency_matrix(g).tolist())[-2]
-            h = inv.harmonic(g)
-            return lam2 - mp.mpf(h.numerator) / h.denominator
-        if conjecture_id == 7:
-            lam = _mp_eigenvalues(inv.adjacency_matrix(g).tolist())[-1]
-            prox = inv.proximity(g)
-            return lam * mp.mpf(prox.numerator) / prox.denominator - n + 1
-        if conjecture_id == 8:
-            a = _mp_eigenvalues(inv.laplacian_matrix(g).tolist())[1]
-            prox = inv.proximity(g)
-            c = 1 - mp.cos(mp.pi / n)
-            if n % 2 == 0:
-                bound = n * n * c / (2 * (n - 1))
-            else:
-                bound = (n + 1) * c / 2
-            return bound - a * mp.mpf(prox.numerator) / prox.denominator
-        if conjecture_id == 9:
-            lam = _mp_eigenvalues(inv.adjacency_matrix(g).tolist())[-1]
-            alpha = inv.independence_number(g)
-            return mp.sqrt(n - 1) - n + 1 - lam + alpha
-        if conjecture_id == 10:
-            r = mp.fsum(
-                1 / mp.sqrt(g.degree(u) * g.degree(v)) for u, v in g.edges()
-            )
-            alpha = inv.independence_number(g)
-            return r + alpha - n + 1 - mp.sqrt(n - 1)
-    return None
 
 
 def verify_strict(conjecture_id: int, g: Graph) -> Verdict:
@@ -452,7 +432,7 @@ def verify_strict(conjecture_id: int, g: Graph) -> Verdict:
     """
     if check_hypotheses(conjecture_id, g):
         return Verdict.REJECTED
-    sc = _SCORERS[conjecture_id](g, True)
+    sc = _SCORERS[conjecture_id](g, _POLISHED)
     if sc.value == NEG_INF:
         return Verdict.REJECTED
     if sc.exact is not None:
@@ -462,9 +442,10 @@ def verify_strict(conjecture_id: int, g: Graph) -> Verdict:
         return Verdict.CERTIFIED
     if sc.value + err < 0:
         return Verdict.REJECTED
-    refined = _mp_score(conjecture_id, g)
-    if refined is None:
+    if g.n > MP_MAX_ORDER:
         return Verdict.UNCERTAIN
+    with mp.workdps(_MP_DPS):
+        refined = _SCORERS[conjecture_id](g, _DIGITS60).value
     # Anything within 10^-45 of zero is treated as exactly zero, which a
     # counterexample must strictly exceed.
     zero_band = mp.mpf(10) ** -45

@@ -89,7 +89,6 @@ class Spectrum:
     """
 
     values: tuple[float, ...]
-    order: str  # "descending" or "ascending"
     residual_bound: float
 
 
@@ -132,17 +131,12 @@ def symmetric_spectrum(m: np.ndarray, *, descending: bool, polish: bool = False)
             f"eigenvalue residual {quality:.3e} above target", residual=quality
         )
     ordered = vals[::-1] if descending else vals
-    return Spectrum(tuple(float(x) for x in ordered), "descending" if descending else "ascending", bound)
+    return Spectrum(tuple(float(x) for x in ordered), bound)
 
 
 def adjacency_spectrum(g: Graph, *, polish: bool = False) -> Spectrum:
     """Adjacency eigenvalues, largest first."""
     return symmetric_spectrum(adjacency_matrix(g), descending=True, polish=polish)
-
-
-def distance_spectrum(g: Graph, *, polish: bool = False) -> Spectrum:
-    """Distance-matrix eigenvalues of a connected graph, largest first."""
-    return symmetric_spectrum(distance_matrix(g), descending=True, polish=polish)
 
 
 def laplacian_spectrum(g: Graph, *, polish: bool = False) -> Spectrum:
@@ -153,20 +147,6 @@ def laplacian_spectrum(g: Graph, *, polish: bool = False) -> Spectrum:
 def lambda1(g: Graph) -> float:
     """Spectral radius of the adjacency matrix."""
     return adjacency_spectrum(g).values[0]
-
-
-def lambda2(g: Graph) -> float:
-    """Second largest adjacency eigenvalue; requires n >= 2."""
-    if g.n < 2:
-        raise GraphError("lambda2 requires at least 2 vertices")
-    return adjacency_spectrum(g).values[1]
-
-
-def algebraic_connectivity(g: Graph) -> float:
-    """Second smallest Laplacian eigenvalue; requires n >= 2."""
-    if g.n < 2:
-        raise GraphError("algebraic connectivity requires at least 2 vertices")
-    return laplacian_spectrum(g).values[1]
 
 
 # -- exact characteristic polynomials ----------------------------------------
@@ -286,11 +266,6 @@ def peak_stats(t: Graph) -> PeakStats:
 # -- metric invariants --------------------------------------------------------
 
 
-def diameter(g: Graph) -> int:
-    """Largest shortest-path distance; requires a connected graph."""
-    return int(all_pairs_distances(g).max())
-
-
 def proximity(g: Graph) -> Fraction:
     """Minimum average distance from a vertex to all others, exact."""
     return proximity_from_distances(all_pairs_distances(g))
@@ -322,11 +297,6 @@ def randic_general_exact(g: Graph, alpha: int) -> Fraction:
 def randic(g: Graph) -> float:
     """Classic Randic index, exponent -1/2."""
     return randic_general(g, -0.5)
-
-
-def second_zagreb(g: Graph) -> Fraction:
-    """Sum of deg(u) * deg(v) over edges, exact."""
-    return randic_general_exact(g, 1)
 
 
 def modified_second_zagreb(g: Graph) -> Fraction:

@@ -133,6 +133,7 @@ def _search_until_certified(conjecture_id: int, seeds, budget: float):
     return None
 
 
+@pytest.mark.slow
 def test_criterion_3_search_success():
     seeds = (1, 2, 3, 4, 5)
     budgets = {2: 540.0, 8: 1200.0}

@@ -206,3 +206,12 @@ def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as info:
         main(["refute", "--conjecture", "five"])
     assert info.value.code == 64
+
+
+def test_refute_rejects_empty_seed_list(capsys):
+    # Without the check, "," would silently fall back to --seed's default.
+    for seeds in (",", ""):
+        with pytest.raises(SystemExit) as info:
+            main(["refute", "--conjecture", "5", "--seeds", seeds])
+        assert info.value.code == 64
+        assert "empty seed list" in capsys.readouterr().err

@@ -8,6 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import clique_with_tail, star_with_two_tails, two_star_centers_joined
+from graphrefute import conjectures
+from graphrefute.codec import decode_graph6
 from graphrefute.conjectures import (
     NEG_INF,
     REGISTRY,
@@ -129,6 +132,32 @@ def test_verify_strict_verdicts():
     assert verify_strict(9, build_family("T2B", 9)) is Verdict.CERTIFIED
     assert verify_strict(10, build_family("T2B", 5)) is Verdict.CERTIFIED
     assert verify_strict(5, cycle(4)) is Verdict.REJECTED  # hypothesis failure
+
+
+@pytest.mark.parametrize(
+    ("cid", "g", "verdict"),
+    [
+        (1, decode_graph6("QKpCAA?_A?O?O?_?G?A??_?@???"), Verdict.CERTIFIED),
+        (1, path(3), Verdict.REJECTED),
+        (2, path(13), Verdict.REJECTED),
+        (2, star_with_two_tails(191, 7, 5), Verdict.UNCERTAIN),  # over MP_MAX_ORDER
+        (4, two_star_centers_joined(15, 19), Verdict.CERTIFIED),
+        (4, Graph(5), Verdict.REJECTED),
+        (7, clique_with_tail(5, 7), Verdict.CERTIFIED),
+        (7, complete(6), Verdict.REJECTED),
+        (8, decode_graph6("LGOC__?H?HP??A"), Verdict.CERTIFIED),
+        (8, path(9), Verdict.REJECTED),
+        (9, build_family("T2B", 9), Verdict.CERTIFIED),
+        (9, build_family("T2B", 8), Verdict.REJECTED),
+        (10, build_family("T2B", 5), Verdict.CERTIFIED),
+        (10, star(12), Verdict.REJECTED),
+    ],
+)
+def test_verify_strict_60_digit_path(monkeypatch, cid, g, verdict):
+    # A huge float error band straddles zero, so every verdict below comes
+    # from the 60-digit re-evaluation (or from the order limit on it).
+    monkeypatch.setattr(conjectures, "_slop", lambda *terms: 1e6)
+    assert verify_strict(cid, g) is verdict
 
 
 def test_score_10_matches_direct_formula():
