@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import random
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -52,68 +51,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to reproduce a refute run."""
-
-    conjecture_id: int
-    initial: str  # recipe, e.g. "random-tree:5" or "file:start.g6"
-    max_depth: int
-    max_level: int
-    trees_only: bool
-    seeds: tuple[int, ...]
-    time_budget: float | None
-    tau: float
-    out_dir: str | None
-
-    def line(self) -> str:
-        budget = "none" if self.time_budget is None else repr(self.time_budget)
-        seeds = ",".join(str(s) for s in self.seeds)
-        return (
-            f"config: conjecture={self.conjecture_id} initial={self.initial} "
-            f"max_depth={self.max_depth} max_level={self.max_level} "
-            f"trees_only={str(self.trees_only).lower()} seeds={seeds} "
-            f"time_budget={budget} tau={self.tau!r}"
-        )
-
-
-@dataclass
-class RunReport:
-    """Line-oriented report of one refute invocation."""
-
-    config: RunConfig
-    found: bool
-    verdict: Verdict | None
-    best_seed: int | None
-    best_graph6: str | None
-    best_score: float | None
-    best_exact: Fraction | None
-    parts: dict[str, object] = field(default_factory=dict)
-    seed_lines: list[str] = field(default_factory=list)
-    trace_lines: list[str] = field(default_factory=list)
-    timing_lines: list[str] = field(default_factory=list)
-
-    def lines(self) -> list[str]:
-        out = [f"schema: {_SCHEMA}", f"version: {__version__}", self.config.line()]
-        out.append(f"found: {str(self.found).lower()}")
-        out.append(f"verdict: {self.verdict.value if self.verdict else 'none'}")
-        if self.found:
-            out.append(f"best_seed: {self.best_seed}")
-            out.append(f"best_graph6: {self.best_graph6}")
-            out.append(f"best_score: {self.best_score!r}")
-            if self.best_exact is not None:
-                out.append(f"best_score_exact: {self.best_exact}")
-            for key in sorted(self.parts):
-                out.append(f"part {key}: {self.parts[key]}")
-        out.extend(self.seed_lines)
-        digest = hashlib.sha256("\n".join(self.trace_lines).encode()).hexdigest()
-        out.append(f"trace_sha256: {digest}")
-        out.extend(self.trace_lines)
-        # Timing lines go last and are excluded from replay comparison.
-        out.extend(self.timing_lines)
-        return out
 
 
 def _parse_initial(recipe: str, rng: random.Random) -> Graph:
@@ -170,22 +107,30 @@ def cmd_refute(args) -> int:
     except KeyError as exc:
         print(f"graphrefute: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    budget_ok = args.time_budget is None or 0 <= args.time_budget < math.inf
+    for flag, ok, bound in [
+        ("--max-depth", args.max_depth >= 0, "must be >= 0"),
+        ("--max-level", args.max_level >= 0, "must be >= 0"),
+        ("--tau", math.isfinite(args.tau), "must be finite"),
+        ("--time-budget", budget_ok, "must be finite and >= 0"),
+    ]:
+        if not ok:
+            print(f"graphrefute: {flag} {bound}", file=sys.stderr)
+            return EXIT_USAGE
     trees_only = spec.space is SearchSpace.TREES if args.trees_only is None else args.trees_only
     recipe = args.initial or f"{spec.initial[0]}:{spec.initial[1]}"
-    seeds = tuple(args.seeds) if args.seeds else (args.seed,)
-    config = RunConfig(
-        conjecture_id=args.conjecture,
-        initial=recipe,
-        max_depth=args.max_depth,
-        max_level=args.max_level,
-        trees_only=trees_only,
-        seeds=seeds,
-        time_budget=args.time_budget,
-        tau=args.tau,
-        out_dir=args.out,
+    seeds = args.seeds or [args.seed]
+    budget = "none" if args.time_budget is None else repr(args.time_budget)
+    config_line = (
+        f"config: conjecture={args.conjecture} initial={recipe} "
+        f"max_depth={args.max_depth} max_level={args.max_level} "
+        f"trees_only={str(trees_only).lower()} seeds={','.join(map(str, seeds))} "
+        f"time_budget={budget} tau={args.tau!r}"
     )
     space = SearchSpace.TREES if trees_only else SearchSpace.CONNECTED
-    report = RunReport(config, False, None, None, None, None, None)
+    seed_lines: list[str] = []
+    trace_lines: list[str] = []
+    timing_lines: list[str] = []
     best_result: SearchResult | None = None
     best_seed = None
     verdict = None
@@ -217,13 +162,13 @@ def cmd_refute(args) -> int:
             return score(args.conjecture, g).value
 
         result = amcs(initial, params, score_value, space, rng)
-        report.seed_lines.append(
+        seed_lines.append(
             f"seed {seed}: found={str(result.found).lower()} "
             f"best_score={result.best_score!r} passes={result.loop_passes} "
             f"accepted={result.iterations} budget_exhausted={str(result.budget_exhausted).lower()}"
         )
-        report.trace_lines.extend(_trace_lines(seed, result))
-        report.timing_lines.append(f"timing seed {seed}: elapsed={result.elapsed:.3f}s")
+        trace_lines.extend(_trace_lines(seed, result))
+        timing_lines.append(f"timing seed {seed}: elapsed={result.elapsed:.3f}s")
         # A verdict is only ever reported next to the seed it was reached for.
         seed_verdict = verify_strict(args.conjecture, result.best_graph) if result.found else None
         certified = seed_verdict is Verdict.CERTIFIED
@@ -232,26 +177,39 @@ def cmd_refute(args) -> int:
         if certified:
             break
     assert best_result is not None
-    report.found = best_result.found
-    if best_result.found:
+    found = best_result.found
+    lines = [
+        f"schema: {_SCHEMA}",
+        f"version: {__version__}",
+        config_line,
+        f"found: {str(found).lower()}",
+        f"verdict: {verdict.value if verdict else 'none'}",
+    ]
+    if found:
+        best_graph6 = encode_graph6(best_result.best_graph)
         detail = score(args.conjecture, best_result.best_graph, polish=True)
-        report.verdict = verdict
-        report.best_seed = best_seed
-        report.best_graph6 = encode_graph6(best_result.best_graph)
-        report.best_score = detail.value
-        report.best_exact = detail.exact
-        report.parts = {k: _format_part(v) for k, v in detail.parts.items()}
-        report.parts["error_bound"] = repr(detail.spectral_error_bound)
-    text = "\n".join(report.lines()) + "\n"
+        parts = {**detail.parts, "error_bound": detail.spectral_error_bound}
+        lines += [
+            f"best_seed: {best_seed}",
+            f"best_graph6: {best_graph6}",
+            f"best_score: {detail.value!r}",
+        ]
+        if detail.exact is not None:
+            lines.append(f"best_score_exact: {detail.exact}")
+        lines += [f"part {key}: {_format_part(parts[key])}" for key in sorted(parts)]
+    digest = hashlib.sha256("\n".join(trace_lines).encode()).hexdigest()
+    # Timing lines go last and are excluded from replay comparison.
+    lines += [*seed_lines, f"trace_sha256: {digest}", *trace_lines, *timing_lines]
+    text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.txt").write_text(text)
-        if best_result.found:
-            (out_dir / "best.g6").write_text(report.best_graph6 + "\n")
+        if found:
+            (out_dir / "best.g6").write_text(best_graph6 + "\n")
             (out_dir / "best.dot").write_text(export_dot(best_result.best_graph))
-    if not best_result.found:
+    if not found:
         return EXIT_NOT_FOUND
     return EXIT_OK if verdict is Verdict.CERTIFIED else EXIT_NOT_CERTIFIED
 

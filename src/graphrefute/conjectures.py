@@ -18,7 +18,7 @@ from typing import Callable
 import mpmath as mp
 
 from . import invariants as inv
-from .graphs import Graph, SearchSpace
+from .graphs import Graph, SearchSpace, all_pairs_distances
 
 NEG_INF = float("-inf")
 
@@ -185,14 +185,6 @@ class Score:
     spectral_error_bound: float
     parts: dict[str, object]
 
-    @property
-    def exact_parts(self) -> dict[str, object]:
-        return {
-            k: v
-            for k, v in self.parts.items()
-            if isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-        }
-
 
 def _undefined(reason: str) -> Score:
     """Sentinel for in-hypothesis graphs where a sub-term is undefined."""
@@ -276,7 +268,7 @@ def _score_1(g: Graph, ar: _Arithmetic) -> Score:
 
 
 def _score_2(g: Graph, ar: _Arithmetic) -> Score:
-    dist = inv.distance_matrix(g)
+    dist = all_pairs_distances(g)
     diam = int(dist.max())
     k = (2 * diam) // 3
     if k < 1:

@@ -40,10 +40,6 @@ class MoveKind(Enum):
     SMOOTH = "smooth"
 
 
-# Kinds that grow the graph; the rest shrink it.
-FORWARD_KINDS = frozenset({MoveKind.ADD_LEAF, MoveKind.SUBDIVIDE, MoveKind.ADD_EDGE})
-
-
 @dataclass(frozen=True)
 class Move:
     """One atomic search step.

@@ -23,7 +23,7 @@ from .graphs import Graph, GraphError, all_pairs_distances
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Exact solvers warn above this order; they still run to completion.
+# The exponential solvers warn above this order; they still run to completion.
 SIZE_GUARD = 64
 
 # Residual targets, relative to the matrix norm.
@@ -40,7 +40,7 @@ class NumericError(ArithmeticError):
 
 
 class PerformanceWarning(UserWarning):
-    """An exact solver was invoked above the size guard."""
+    """An exponential exact solver was invoked above the size guard."""
 
 
 def _check_size_guard(op: str, n: int) -> None:
@@ -70,11 +70,6 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
     for v in range(g.n):
         lap[v, v] = g.degree(v)
     return lap
-
-
-def distance_matrix(g: Graph) -> np.ndarray:
-    """Return the integer matrix of shortest-path distances (connected g)."""
-    return all_pairs_distances(g)
 
 
 # -- spectra ------------------------------------------------------------------
@@ -134,19 +129,9 @@ def symmetric_spectrum(m: np.ndarray, *, descending: bool, polish: bool = False)
     return Spectrum(tuple(float(x) for x in ordered), bound)
 
 
-def adjacency_spectrum(g: Graph, *, polish: bool = False) -> Spectrum:
-    """Adjacency eigenvalues, largest first."""
-    return symmetric_spectrum(adjacency_matrix(g), descending=True, polish=polish)
-
-
-def laplacian_spectrum(g: Graph, *, polish: bool = False) -> Spectrum:
-    """Laplacian eigenvalues, smallest first."""
-    return symmetric_spectrum(laplacian_matrix(g), descending=False, polish=polish)
-
-
 def lambda1(g: Graph) -> float:
     """Spectral radius of the adjacency matrix."""
-    return adjacency_spectrum(g).values[0]
+    return symmetric_spectrum(adjacency_matrix(g), descending=True).values[0]
 
 
 # -- exact characteristic polynomials ----------------------------------------
@@ -225,7 +210,7 @@ def adjacency_char_poly(g: Graph) -> CharPoly:
 
 
 def distance_char_poly(g: Graph) -> CharPoly:
-    return char_poly_exact(distance_matrix(g))
+    return char_poly_exact(all_pairs_distances(g))
 
 
 @dataclass(frozen=True)
@@ -317,7 +302,6 @@ def harmonic(g: Graph) -> Fraction:
 
 def matching_number(g: Graph) -> int:
     """Size of a maximum matching, via Edmonds' blossom algorithm."""
-    _check_size_guard("matching_number", g.n)
     n = g.n
     adj = [list(g.neighbors(v)) for v in range(n)]
     match = [-1] * n
@@ -570,7 +554,7 @@ def _domination_branch_bound(g: Graph) -> int:
 def domination_number(g: Graph) -> int:
     """Minimum dominating set size: linear DP on trees, branch and bound
     otherwise."""
-    _check_size_guard("domination_number", g.n)
     if g.is_tree():
         return _domination_tree_dp(g)
+    _check_size_guard("domination_number", g.n)
     return _domination_branch_bound(g)

@@ -52,7 +52,6 @@ class TraceRecord:
     m: int
     score: float
     accepted: bool
-    elapsed: float
 
 
 @dataclass
@@ -168,9 +167,7 @@ def amcs(
     iterations = 0
     loop_passes = 0
     budget_exhausted = False
-    trace = [
-        TraceRecord(0, 0, 0, 0, initial.n, initial.m, best_score, True, 0.0)
-    ]
+    trace = [TraceRecord(0, 0, 0, 0, initial.n, initial.m, best_score, True)]
     while best_score <= params.tau and level <= params.max_level:
         if deadline is not None and time.perf_counter() > deadline:
             budget_exhausted = True
@@ -208,7 +205,6 @@ def amcs(
                 candidate.m,
                 cand_score,
                 accepted,
-                time.perf_counter() - start,
             )
         )
     elapsed = time.perf_counter() - start

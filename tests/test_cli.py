@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import write_g6
-from graphrefute import cli
+from graphrefute import __version__, cli
 from graphrefute.cli import main
 from graphrefute.codec import decode_graph6, encode_graph6
 from graphrefute.conjectures import Verdict
@@ -215,3 +215,97 @@ def test_refute_rejects_empty_seed_list(capsys):
             main(["refute", "--conjecture", "5", "--seeds", seeds])
         assert info.value.code == 64
         assert "empty seed list" in capsys.readouterr().err
+
+
+def test_refute_report_is_pinned_line_for_line(capsys):
+    # Conjecture 5's scores are exact rationals, so these floats do not
+    # depend on the platform's LAPACK.
+    version = f"version: {__version__}"
+    code, out, _ = run(capsys, ["refute", "--conjecture", "5", "--seed", "1"])
+    assert code == 0
+    trace = [
+        f"trace seed=1 pass={p} iter={i} depth={d} level={lv} n={n} m={m} "
+        f"score={sc} accepted={acc}"
+        for p, i, d, lv, n, m, sc, acc in [
+            (0, 0, 0, 0, 5, 4, "0.0", "true"),
+            (1, 0, 0, 1, 5, 4, "0.0", "false"),
+            (2, 0, 1, 1, 5, 4, "0.0", "false"),
+            (3, 0, 2, 1, 5, 4, "0.0", "false"),
+            (4, 0, 3, 1, 5, 4, "0.0", "false"),
+            (5, 0, 4, 1, 5, 4, "0.0", "false"),
+            (6, 0, 5, 1, 5, 4, "0.0", "false"),
+            (7, 0, 0, 2, 5, 4, "0.0", "false"),
+            (8, 0, 1, 2, 5, 4, "0.0", "false"),
+            (9, 0, 2, 2, 5, 4, "0.0", "false"),
+            (10, 0, 3, 2, 5, 4, "0.0", "false"),
+            (11, 1, 4, 2, 11, 10, "0.027777777777777776", "true"),
+        ]
+    ]
+    expected = [
+        "schema: graphrefute-report/1",
+        version,
+        "config: conjecture=5 initial=random-tree:5 max_depth=5 max_level=3 "
+        "trees_only=true seeds=1 time_budget=none tau=1e-09",
+        "found: true",
+        "verdict: certified",
+        "best_seed: 1",
+        "best_graph6: J?o?R?APC_?",
+        "best_score: 0.027777777777777776",
+        "best_score_exact: 1/36",
+        "part error_bound: 0.0",
+        "part modified_second_zagreb: 109/36",
+        "part n: 11",
+        "seed 1: found=true best_score=0.027777777777777776 passes=11 "
+        "accepted=1 budget_exhausted=false",
+        "trace_sha256: 837b5f2daf0f7cce09d4995c9960339307e48a5422dd0d8627a77c2f014d2719",
+        *trace,
+    ]
+    lines = out.splitlines()
+    assert lines[-1].startswith("timing seed 1: elapsed=")
+    assert lines[:-1] == expected
+
+    code, out, _ = run(capsys, [
+        "refute", "--conjecture", "5", "--seed", "3", "--max-level", "0",
+    ])
+    assert code == 2
+    expected = [
+        "schema: graphrefute-report/1",
+        version,
+        "config: conjecture=5 initial=random-tree:5 max_depth=5 max_level=0 "
+        "trees_only=true seeds=3 time_budget=none tau=1e-09",
+        "found: false",
+        "verdict: none",
+        "seed 3: found=false best_score=-0.16666666666666666 passes=0 "
+        "accepted=0 budget_exhausted=false",
+        "trace_sha256: 8a6e6e28f31b930965551f10e4ed1641ab1814b081eab468f90de74b4c53dd46",
+        "trace seed=3 pass=0 iter=0 depth=0 level=0 n=5 m=4 "
+        "score=-0.16666666666666666 accepted=true",
+    ]
+    lines = out.splitlines()
+    assert lines[-1].startswith("timing seed 3: elapsed=")
+    assert lines[:-1] == expected
+
+
+def _usage_error(capsys, argv):
+    code, out, err = run(capsys, ["refute", "--conjecture", "5", *argv])
+    assert code == 64
+    assert out == ""
+    return err
+
+
+def test_refute_rejects_negative_max_depth(capsys):
+    assert "--max-depth" in _usage_error(capsys, ["--max-depth", "-3"])
+
+
+def test_refute_rejects_negative_max_level(capsys):
+    assert "--max-level" in _usage_error(capsys, ["--max-level", "-1"])
+
+
+def test_refute_rejects_non_finite_tau(capsys):
+    for value in ("nan", "inf", "-inf"):
+        assert "--tau" in _usage_error(capsys, [f"--tau={value}"])
+
+
+def test_refute_rejects_negative_or_non_finite_time_budget(capsys):
+    for value in ("-1", "nan", "inf"):
+        assert "--time-budget" in _usage_error(capsys, [f"--time-budget={value}"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,21 +12,20 @@ import pytest
 
 from conftest import random_connected_graph
 from graphrefute import oracles
-from graphrefute.graphs import Graph, complete, cycle, path, random_tree, star
+from graphrefute.graphs import (
+    Graph, all_pairs_distances, complete, cycle, path, random_tree, star,
+)
 from graphrefute.invariants import (
     PerformanceWarning,
     adjacency_char_poly,
     adjacency_matrix,
-    adjacency_spectrum,
     char_poly_exact,
     distance_char_poly,
-    distance_matrix,
     domination_number,
     harmonic,
     independence_number,
     lambda1,
     laplacian_matrix,
-    laplacian_spectrum,
     matching_number,
     modified_second_zagreb,
     peak_stats,
@@ -48,36 +48,40 @@ def test_matrices():
     g = path(3)
     assert adjacency_matrix(g).tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     assert laplacian_matrix(g).tolist() == [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
-    assert distance_matrix(g).tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    assert all_pairs_distances(g).tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
 
 def test_adjacency_spectrum_frozen_values():
-    s = adjacency_spectrum(path(3))
+    s = symmetric_spectrum(adjacency_matrix(path(3)), descending=True)
     assert s.values == pytest.approx((math.sqrt(2), 0.0, -math.sqrt(2)), abs=1e-12)
-    k = adjacency_spectrum(complete(4))
+    k = symmetric_spectrum(adjacency_matrix(complete(4)), descending=True)
     assert k.values == pytest.approx((3.0, -1.0, -1.0, -1.0), abs=1e-12)
     assert lambda1(star(5)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_spectrum_error_bounds():
-    fast = adjacency_spectrum(path(30))
+    fast = symmetric_spectrum(adjacency_matrix(path(30)), descending=True)
     assert 0 < fast.residual_bound <= 1e-10 * 30
-    polished = adjacency_spectrum(path(30), polish=True)
+    polished = symmetric_spectrum(
+        adjacency_matrix(path(30)), descending=True, polish=True
+    )
     assert polished.residual_bound <= 1e-12
     assert polished.values == pytest.approx(fast.values, abs=1e-9)
 
 
 def test_laplacian_spectrum_and_connectivity():
-    s = laplacian_spectrum(complete(3))
+    s = symmetric_spectrum(laplacian_matrix(complete(3)), descending=False)
     assert s.values == pytest.approx((0.0, 3.0, 3.0), abs=1e-12)
     # Algebraic connectivity: the second smallest Laplacian eigenvalue.
-    assert laplacian_spectrum(path(2)).values[1] == pytest.approx(2.0, abs=1e-12)
+    lap = symmetric_spectrum(laplacian_matrix(path(2)), descending=False)
+    assert lap.values[1] == pytest.approx(2.0, abs=1e-12)
     # lambda_2 of the adjacency matrix, not the Laplacian.
-    assert adjacency_spectrum(path(3)).values[1] == pytest.approx(0.0, abs=1e-12)
+    adj = symmetric_spectrum(adjacency_matrix(path(3)), descending=True)
+    assert adj.values[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_distance_spectrum_descending():
-    s = symmetric_spectrum(distance_matrix(path(3)), descending=True)
+    s = symmetric_spectrum(all_pairs_distances(path(3)), descending=True)
     assert s.values[0] >= s.values[-1]
     d = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     expected = sorted(np.linalg.eigvalsh(d), reverse=True)
@@ -129,7 +133,7 @@ def test_char_poly_rejects_bad_input():
 def test_distance_char_poly_matches_floating_roots():
     g = random_tree(7, random.Random(1))
     cp = distance_char_poly(g)
-    for lam in symmetric_spectrum(distance_matrix(g), descending=True).values:
+    for lam in symmetric_spectrum(all_pairs_distances(g), descending=True).values:
         assert abs(cp(lam)) <= 1e-6 * (1 + abs(lam)) ** g.n
 
 
@@ -152,8 +156,8 @@ def test_peak_stats_rejects_non_trees():
 
 
 def test_diameter_and_proximity():
-    assert distance_matrix(path(5)).max() == 4
-    assert distance_matrix(complete(6)).max() == 1
+    assert all_pairs_distances(path(5)).max() == 4
+    assert all_pairs_distances(complete(6)).max() == 1
     assert proximity(path(3)) == Fraction(1)
     assert proximity(path(4)) == Fraction(4, 3)
     assert proximity(star(9)) == Fraction(1)
@@ -225,8 +229,12 @@ def test_matching_counts_oracle_small():
 
 
 def test_size_guard_warns():
-    big = path(65)
+    # Only the exponential solvers warn: independence, and domination off trees.
     with pytest.warns(PerformanceWarning):
-        matching_number(big)
+        independence_number(path(65))
     with pytest.warns(PerformanceWarning):
-        domination_number(big)
+        domination_number(cycle(65))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matching_number(path(65))
+        domination_number(path(65))
