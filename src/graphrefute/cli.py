@@ -360,7 +360,8 @@ def build_parser() -> _Parser:
     p_refute.add_argument("--time-budget", type=float, default=None, metavar="SECONDS",
                           help="wall-clock limit per seed")
     p_refute.add_argument("--tau", type=float, default=1e-9,
-                          help="score threshold that counts as a violation")
+                          help="score threshold that counts as a violation; "
+                               "write a negative exponent form as --tau=-1e-3")
     p_refute.add_argument("--out", metavar="DIR",
                           help="write report.txt, best.g6, best.dot here")
     p_refute.set_defaults(func=cmd_refute)

@@ -177,7 +177,8 @@ class Score:
     rational and then equals it exactly. ``spectral_error_bound`` bounds the
     absolute error of ``value`` (zero for exact scores). ``parts`` holds the
     named sub-terms that went into the formula; rational ones are kept as
-    int/Fraction.
+    int/Fraction. `score` hands a memoised Score to every caller: do not
+    mutate ``parts``.
     """
 
     value: float
@@ -393,13 +394,23 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
     hypotheses. Returns a -inf sentinel score when the hypotheses hold but
     a sub-term is undefined (e.g. the distance-eigenvalue index floor(2D/3)
     vanishes on graphs of diameter 1).
+
+    The fast score is memoised on the graph object: a repeat call for the
+    same conjecture returns the stored Score without re-checking anything.
+    Graphs are immutable and evaluation is deterministic, so a hit equals a
+    fresh evaluation. polish=True never reads or writes the memo.
     """
+    if not polish and g._score is not None and g._score[0] == conjecture_id:
+        return g._score[1]
     spec_violations = check_hypotheses(conjecture_id, g)
     if spec_violations:
         raise HypothesisError(
             f"conjecture {conjecture_id}: " + "; ".join(spec_violations)
         )
-    return _SCORERS[conjecture_id](g, _POLISHED if polish else _FAST)
+    sc = _SCORERS[conjecture_id](g, _POLISHED if polish else _FAST)
+    if not polish:
+        object.__setattr__(g, "_score", (conjecture_id, sc))
+    return sc
 
 
 def is_counterexample(conjecture_id: int, g: Graph, tau: float = 1e-9) -> bool:

@@ -77,7 +77,8 @@ class Move:
 class Graph:
     """Undirected simple graph on vertices 0..n-1, immutable after build."""
 
-    __slots__ = ("n", "m", "_adj")
+    # _score memoises conjectures.score's fast path: (conjecture id, Score).
+    __slots__ = ("n", "m", "_adj", "_score")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -97,6 +98,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(s)) for s in adj))
+        object.__setattr__(self, "_score", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Graph is immutable")

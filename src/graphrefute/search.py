@@ -10,6 +10,7 @@ attempt so the search can escape local maxima.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -151,6 +152,13 @@ def amcs(
     Identical (initial, params, rng seed) replay the same trace, provided
     the time budget does not bind.
     """
+    if params.max_depth < 0 or params.max_level < 0:
+        raise ValueError("max_depth and max_level must be non-negative")
+    if not math.isfinite(params.tau):
+        raise ValueError("tau must be finite")
+    budget = params.time_budget
+    if budget is not None and not 0 <= budget < math.inf:
+        raise ValueError("time_budget must be finite and non-negative")
     if space is None:
         space = SearchSpace.TREES if params.trees_only else SearchSpace.CONNECTED
     if space is SearchSpace.TREES and not initial.is_tree():
@@ -160,7 +168,7 @@ def amcs(
     if rng is None:
         rng = random.Random(params.seed)
     start = time.perf_counter()
-    deadline = None if params.time_budget is None else start + params.time_budget
+    deadline = None if budget is None else start + budget
     min_order = initial.n
     best, best_score = initial, score_fn(initial)
     depth, level = 0, 1

@@ -141,16 +141,7 @@ def test_criterion_3_search_success():
     failures = []
     for cid in range(1, 11):
         result = _search_until_certified(cid, seeds, budgets.get(cid, 300.0))
-        if result is not None:
-            continue
-        if cid == 2:
-            # Budget exhausted: certifying the known published graph is the
-            # documented fallback for this conjecture.
-            fixture = star_with_two_tails(191, 7, 5)
-            if verify_strict(2, fixture) is Verdict.CERTIFIED:
-                continue
-            failures.append("conjecture 2: search and fixture both failed")
-        else:
+        if result is None:
             failures.append(f"conjecture {cid}: no certified counterexample")
     assert not failures, "; ".join(failures)
 

@@ -309,3 +309,18 @@ def test_refute_rejects_non_finite_tau(capsys):
 def test_refute_rejects_negative_or_non_finite_time_budget(capsys):
     for value in ("-1", "nan", "inf"):
         assert "--time-budget" in _usage_error(capsys, [f"--time-budget={value}"])
+
+
+def test_refute_negative_tau_in_exponent_form(capsys):
+    # argparse reads "-1e-3" as an option, so the value must be attached
+    # with "=". With tau below zero, conjecture 5's start scores 0 and
+    # counts as found, but verify_strict still rejects a zero score.
+    code, out, _ = run(capsys, ["refute", "--conjecture", "5", "--seed", "1", "--tau=-1e-3"])
+    assert code == 3
+    assert "tau=-0.001" in out
+    assert "found: true" in out
+    assert "verdict: rejected" in out
+    with pytest.raises(SystemExit) as info:
+        main(["refute", "--conjecture", "5", "--tau", "-1e-3"])
+    assert info.value.code == 64
+    assert "--tau: expected one argument" in capsys.readouterr().err

@@ -173,3 +173,70 @@ def test_score_10_matches_direct_formula():
 def test_unknown_conjecture_id():
     with pytest.raises(KeyError):
         score(42, path(5))
+
+
+def _count_scorer_calls(monkeypatch, cid) -> list:
+    calls = []
+    scorer = conjectures._SCORERS[cid]
+    monkeypatch.setitem(conjectures._SCORERS, cid,
+                        lambda g, ar: calls.append(g) or scorer(g, ar))
+    return calls
+
+
+def test_score_memo_runs_the_scorer_once_per_object(monkeypatch):
+    calls = _count_scorer_calls(monkeypatch, 5)
+    g = path(6)
+    first = score(5, g)
+    assert score(5, g) is first
+    assert len(calls) == 1
+    # An equal graph is a different object, so it is scored afresh.
+    assert score(5, path(6)) == first
+    assert len(calls) == 2
+
+
+def test_score_memo_is_keyed_by_conjecture():
+    g = path(13)
+    c2 = score(2, g)
+    c5 = score(5, g)
+    assert c5 == score(5, path(13))
+    assert c5 != c2
+    assert score(2, g) == c2
+
+
+def test_score_memo_stores_no_hypothesis_error(monkeypatch):
+    calls = []
+    check = conjectures.check_hypotheses
+    monkeypatch.setattr(conjectures, "check_hypotheses",
+                        lambda cid, g: calls.append(cid) or check(cid, g))
+    g = cycle(4)
+    for _ in range(2):
+        with pytest.raises(HypothesisError):
+            score(5, g)
+    assert len(calls) == 2
+    assert g._score is None
+
+
+def test_polished_score_and_verify_strict_bypass_the_memo():
+    g = build_family("T1", 2)  # conjecture 5 counterexample, score 1/36
+    planted = conjectures.Score(-1.0, Fraction(-1), 0.0, {})
+    object.__setattr__(g, "_score", (5, planted))
+    assert score(5, g) is planted
+    assert score(5, g, polish=True).exact == Fraction(1, 36)
+    assert verify_strict(5, g) is Verdict.CERTIFIED
+    assert is_counterexample(5, g)
+    fresh = build_family("T1", 2)
+    score(5, fresh, polish=True)
+    verify_strict(5, fresh)
+    is_counterexample(5, fresh)
+    assert fresh._score is None
+
+
+def test_scored_graph_equals_and_hashes_like_a_copy():
+    g = path(7)
+    score(5, g)
+    copy = path(7)
+    assert g._score is not None and copy._score is None
+    assert g == copy
+    assert hash(g) == hash(copy)
+    with pytest.raises(AttributeError):
+        g.n = 3

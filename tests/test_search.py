@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
+from graphrefute import conjectures
 from graphrefute.conjectures import score
 from graphrefute.graphs import (
     Graph,
@@ -169,3 +171,68 @@ def test_amcs_tree_space_keeps_trees():
     result = amcs(initial, SearchParams(seed=2, trees_only=True), tree_score,
                   rng=random.Random(2))
     assert result.best_graph.is_tree()
+
+
+def test_amcs_rejects_negative_max_depth():
+    with pytest.raises(ValueError, match="max_depth"):
+        amcs(path(4), SearchParams(max_depth=-3), tree_score, SearchSpace.TREES)
+
+
+def test_amcs_rejects_negative_max_level():
+    with pytest.raises(ValueError, match="max_level"):
+        amcs(path(4), SearchParams(max_level=-1), tree_score, SearchSpace.TREES)
+
+
+def test_amcs_rejects_non_finite_tau():
+    for tau in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tau"):
+            amcs(path(4), SearchParams(tau=tau), tree_score, SearchSpace.TREES)
+
+
+def test_amcs_rejects_negative_or_non_finite_time_budget():
+    for budget in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="time_budget"):
+            amcs(path(4), SearchParams(time_budget=budget), tree_score,
+                 SearchSpace.TREES)
+
+
+@pytest.mark.parametrize(
+    ("cid", "initial", "params"),
+    [
+        # c2 climbs for as long as it is allowed to; tau stops it at n = 28.
+        (2, path(13), SearchParams(max_level=1, trees_only=True, seed=1, tau=-1.0)),
+        (5, None, SearchParams(trees_only=True, seed=1)),
+        (5, None, SearchParams(trees_only=True, seed=2)),
+        (9, None, SearchParams(max_depth=3, max_level=2, seed=1)),
+        (9, None, SearchParams(max_depth=3, max_level=2, seed=2)),
+    ],
+    ids=["c2-path13", "c5-seed1", "c5-seed2", "c9-seed1", "c9-seed2"],
+)
+def test_amcs_trace_is_unchanged_by_the_score_memo(monkeypatch, cid, initial, params):
+    # One run scores the graphs amcs hands it, so repeats hit the memo on
+    # the Graph; the other scores a fresh copy each time, so every call
+    # evaluates. Same calls and same trace: a hit returns what a fresh
+    # evaluation would.
+    evaluations = []
+    scorer = conjectures._SCORERS[cid]
+    monkeypatch.setitem(conjectures._SCORERS, cid,
+                        lambda g, ar: evaluations.append(g) or scorer(g, ar))
+
+    def run(copy: bool):
+        calls = []
+        evaluations.clear()
+
+        def score_fn(g: Graph) -> float:
+            calls.append(g)
+            return score(cid, Graph(g.n, g.edges()) if copy else g).value
+
+        rng = random.Random(params.seed)
+        start = random_tree(5, rng) if initial is None else initial
+        result = amcs(start, params, score_fn, rng=rng)
+        return result.trace, len(calls), len(evaluations)
+
+    memo_trace, memo_calls, memo_evals = run(copy=False)
+    fresh_trace, fresh_calls, fresh_evals = run(copy=True)
+    assert memo_trace == fresh_trace
+    assert memo_calls == fresh_calls == fresh_evals
+    assert memo_evals < memo_calls
