@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -99,6 +100,16 @@ class Graph:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(s)) for s in adj))
         object.__setattr__(self, "_score", None)
+
+    @classmethod
+    def _trusted(cls, adj: tuple[tuple[int, ...], ...], m: int) -> "Graph":
+        """Wrap adjacency the caller guarantees sorted, symmetric and simple."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(adj))
+        object.__setattr__(g, "m", m)
+        object.__setattr__(g, "_adj", adj)
+        object.__setattr__(g, "_score", None)
+        return g
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Graph is immutable")
@@ -288,25 +299,36 @@ def _relabel_without(edges: Iterable[tuple[int, int]], gone: int) -> list[tuple[
 
 
 def apply_move(g: Graph, move: Move) -> Graph:
-    """Apply a move to g, validating its preconditions."""
+    """Apply a move to g, validating its preconditions.
+
+    Forward moves patch a copy of g's adjacency. Their new vertex n is the
+    largest label, so appending it keeps each neighbour tuple sorted.
+    """
     k = move.kind
+    n, adj = g.n, list(g._adj)
     if k is MoveKind.ADD_LEAF:
         v = move.u
-        if not (0 <= v < g.n):
+        if not (0 <= v < n):
             raise InvalidMoveError(f"add-leaf anchor {v} out of range")
-        return Graph(g.n + 1, list(g.edges()) + [(v, g.n)])
+        adj[v] += (n,)
+        adj.append((v,))
+        return Graph._trusted(tuple(adj), g.m + 1)
     if k is MoveKind.SUBDIVIDE:
         u, v = move.u, move.v
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+        if not (0 <= u < n and 0 <= v < n) or not g.has_edge(u, v):
             raise InvalidMoveError(f"subdivide needs an existing edge, got ({u}, {v})")
-        edges = [e for e in g.edges() if e != (min(u, v), max(u, v))]
-        edges += [(u, g.n), (v, g.n)]
-        return Graph(g.n + 1, edges)
+        for a, b in ((u, v), (v, u)):
+            adj[a] = tuple(x for x in adj[a] if x != b) + (n,)
+        adj.append((min(u, v), max(u, v)))
+        return Graph._trusted(tuple(adj), g.m + 1)
     if k is MoveKind.ADD_EDGE:
         u, v = move.u, move.v
-        if not (0 <= u < g.n and 0 <= v < g.n) or u == v or g.has_edge(u, v):
+        if not (0 <= u < n and 0 <= v < n) or u == v or g.has_edge(u, v):
             raise InvalidMoveError(f"add-edge needs a non-edge, got ({u}, {v})")
-        return Graph(g.n, list(g.edges()) + [(u, v)])
+        for a, b in ((u, v), (v, u)):
+            i = bisect_left(adj[a], b)
+            adj[a] = adj[a][:i] + (b,) + adj[a][i:]
+        return Graph._trusted(tuple(adj), g.m + 1)
     if k is MoveKind.REMOVE_LEAF:
         v = move.u
         if not (0 <= v < g.n) or g.degree(v) != 1:
@@ -348,10 +370,38 @@ def removable_vertices(g: Graph) -> list[Move]:
 
 
 def random_playout(g: Graph, depth: int, space: SearchSpace, rng: random.Random) -> Graph:
-    """Apply `depth` uniformly random forward moves to g."""
+    """Apply `depth` uniformly random forward moves to g.
+
+    Each step draws the index ``rng.choice(legal_moves(g, space))`` would
+    draw, then walks the adjacency to that move without listing the moves,
+    so the random stream and every result are the same.
+    """
     for _ in range(depth):
-        moves = legal_moves(g, space)
-        g = apply_move(g, rng.choice(moves))
+        n, m, adj = g.n, g.m, g._adj
+        non_edges = n * (n - 1) // 2 - m if space is SearchSpace.CONNECTED else 0
+        i = rng.randrange(n + m + non_edges)
+        if i < n:
+            g = apply_move(g, Move.add_leaf(i))
+            continue
+        kind = MoveKind.SUBDIVIDE if i < n + m else MoveKind.ADD_EDGE
+        i -= n if kind is MoveKind.SUBDIVIDE else n + m
+        for u in range(n):
+            first = bisect_right(adj[u], u)  # the neighbours above u
+            above = len(adj[u]) - first
+            count = above if kind is MoveKind.SUBDIVIDE else n - 1 - u - above
+            if i < count:
+                break
+            i -= count
+        if kind is MoveKind.SUBDIVIDE:
+            v = adj[u][first + i]
+        else:
+            # The i-th non-neighbour above u: u + 1 + i, stepped past each
+            # neighbour at or below it.
+            v = u + 1 + i
+            for w in adj[u][first:]:
+                if w <= v:
+                    v += 1
+        g = apply_move(g, Move(kind, u, v))
     return g
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -57,18 +57,17 @@ def _check_size_guard(op: str, n: int) -> None:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges():
-        a[u, v] = 1
-        a[v, u] = 1
+    n = g.n
+    a = np.zeros((n, n), dtype=np.int64)
+    # _adj lists both directions of every edge, so one fill sets both halves.
+    a.put([u * n + v for u, nbrs in enumerate(g._adj) for v in nbrs], 1)
     return a
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
     """Return D - A with D the diagonal degree matrix."""
     lap = -adjacency_matrix(g)
-    for v in range(g.n):
-        lap[v, v] = g.degree(v)
+    lap.flat[:: g.n + 1] = list(map(len, g._adj))
     return lap
 
 
@@ -272,11 +271,11 @@ def randic_general(g: Graph, alpha: float) -> float:
 
 
 def randic_general_exact(g: Graph, alpha: int) -> Fraction:
-    """Exact general Randic index for integer exponents."""
-    total = Fraction(0)
-    for u, v in g.edges():
-        total += Fraction(g.degree(u) * g.degree(v)) ** alpha
-    return total
+    """Exact general Randic index for integer exponents, summed per distinct
+    degree product."""
+    deg = list(map(len, g._adj))
+    products = Counter(deg[u] * deg[v] for u, v in g.edges())
+    return sum((k * Fraction(p) ** alpha for p, k in products.items()), Fraction(0))
 
 
 def randic(g: Graph) -> float:
@@ -290,11 +289,11 @@ def modified_second_zagreb(g: Graph) -> Fraction:
 
 
 def harmonic(g: Graph) -> Fraction:
-    """Sum of 2 / (deg(u) + deg(v)) over edges, exact."""
-    total = Fraction(0)
-    for u, v in g.edges():
-        total += Fraction(2, g.degree(u) + g.degree(v))
-    return total
+    """Sum of 2 / (deg(u) + deg(v)) over edges, exact, summed per distinct
+    degree sum."""
+    deg = list(map(len, g._adj))
+    sums = Counter(deg[u] + deg[v] for u, v in g.edges())
+    return sum((Fraction(2 * k, s) for s, k in sums.items()), Fraction(0))
 
 
 # -- matching number (blossom algorithm) -------------------------------------

@@ -210,6 +210,44 @@ def test_random_playout_stays_in_space_and_adds_depth_vertices_or_edges():
         assert (g.n - 4) + (g.m - (g.n - 1)) == 6
 
 
+def _reference_playout(g, depth, space, rng):
+    for _ in range(depth):
+        g = apply_move(g, rng.choice(legal_moves(g, space)))
+    return g
+
+
+def test_random_playout_matches_choice_over_legal_moves():
+    # The indexed draw must consume the same random stream and pick the
+    # same move as rng.choice over the full legal_moves list: 360 playouts.
+    for seed in range(120):
+        rng = random.Random(seed)
+        n, depth = rng.randint(1, 40), rng.randint(0, 6)
+        tree = random_tree(n, rng)
+        connected = random_connected_graph(n, rng)
+        for g, space in [(tree, SearchSpace.TREES), (tree, SearchSpace.CONNECTED),
+                         (connected, SearchSpace.CONNECTED)]:
+            fast_rng, ref_rng = random.Random(seed), random.Random(seed)
+            fast = random_playout(g, depth, space, fast_rng)
+            ref = _reference_playout(g, depth, space, ref_rng)
+            assert fast._adj == ref._adj
+            assert fast_rng.getstate() == ref_rng.getstate()
+
+
+def test_forward_moves_match_a_validated_rebuild():
+    rng = random.Random(11)
+    graphs = [(random_tree(n, rng), SearchSpace.TREES) for n in range(1, 13)]
+    graphs += [(random_connected_graph(n, rng), SearchSpace.CONNECTED) for n in range(1, 13)]
+    for g, space in graphs:
+        for move in legal_moves(g, space):
+            child = apply_move(g, move)
+            rebuilt = Graph(child.n, child.edges())
+            assert (child.n, child.m, child._adj) == (rebuilt.n, rebuilt.m, rebuilt._adj)
+            assert child == rebuilt and hash(child) == hash(rebuilt)
+            assert child._score is None
+            with pytest.raises(AttributeError):
+                child.n = 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=9))
 def test_forward_moves_preserve_space_membership(seed, n):

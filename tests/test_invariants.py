@@ -184,6 +184,35 @@ def test_randic_general_matches_exact():
         assert randic_general(g, -0.5) == pytest.approx(randic(g), rel=1e-12)
 
 
+def _index_test_graphs():
+    rng = random.Random(23)
+    graphs = [random_tree(n, rng) for n in range(1, 30)]
+    graphs += [random_connected_graph(n, rng, chord_prob=p) for n in range(2, 20)
+               for p in (0.1, 0.5)]
+    graphs += [star(n) for n in range(1, 12)] + [complete(n) for n in range(1, 10)]
+    return graphs + [cycle(n) for n in range(3, 12)]
+
+
+def test_degree_indices_match_per_edge_sums():
+    for g in _index_test_graphs():
+        deg = [g.degree(v) for v in range(g.n)]
+        edges = list(g.edges())
+        assert harmonic(g) == sum((Fraction(2, deg[u] + deg[v]) for u, v in edges), Fraction(0))
+        assert modified_second_zagreb(g) == sum(
+            (Fraction(1, deg[u] * deg[v]) for u, v in edges), Fraction(0)
+        )
+
+
+def test_matrices_match_per_edge_fill():
+    for g in _index_test_graphs():
+        a = np.zeros((g.n, g.n), dtype=np.int64)
+        for u, v in g.edges():
+            a[u, v] = a[v, u] = 1
+        assert adjacency_matrix(g).dtype == np.int64
+        assert np.array_equal(adjacency_matrix(g), a)
+        assert np.array_equal(laplacian_matrix(g), np.diag(a.sum(axis=1)) - a)
+
+
 def test_matching_number_needs_blossoms():
     # Odd cycles and the Petersen graph defeat greedy/bipartite algorithms.
     assert matching_number(cycle(5)) == 2

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
 import pytest
 
-from graphrefute import conjectures
+from graphrefute import cli, conjectures
 from graphrefute.conjectures import score
 from graphrefute.graphs import (
     Graph,
@@ -236,3 +237,27 @@ def test_amcs_trace_is_unchanged_by_the_score_memo(monkeypatch, cid, initial, pa
     assert memo_trace == fresh_trace
     assert memo_calls == fresh_calls == fresh_evals
     assert memo_evals < memo_calls
+
+
+@pytest.mark.parametrize(
+    ("cid", "order", "params", "digest"),
+    [
+        # From order 10 every c7 pass improves at depth 0, so start at 6,
+        # where passes 3 and 6 are won by depth-1 playouts. c7's scores are
+        # LAPACK floats: another BLAS build may round them differently.
+        (7, 6, SearchParams(max_depth=3, max_level=1, seed=1),
+         "d1fb49e93e2cf9258bb9065ca4e3c3b62a738a472fe21e829e23ba53cd0d0267"),
+        (5, 5, SearchParams(max_depth=4, max_level=3, trees_only=True, seed=1),
+         "004e6b5f2df19cd43cc88abbd13f699ac61aa469366a343aa1de167de79c0667"),
+    ],
+    ids=["c7-connected", "c5-trees"],
+)
+def test_amcs_trace_digest_is_pinned(cid, order, params, digest):
+    # Any change to the RNG stream or to the order of legal moves shows up
+    # here: playouts of depth > 0 and prunes draw from the same generator.
+    rng = random.Random(params.seed)
+    result = amcs(random_tree(order, rng), params, lambda g: score(cid, g).value,
+                  rng=rng)
+    assert any(r.depth > 0 for r in result.trace)
+    text = "\n".join(cli._trace_lines(params.seed, result))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
