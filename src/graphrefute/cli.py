@@ -118,6 +118,10 @@ def cmd_refute(args) -> int:
             print(f"graphrefute: {flag} {bound}", file=sys.stderr)
             return EXIT_USAGE
     trees_only = spec.space is SearchSpace.TREES if args.trees_only is None else args.trees_only
+    if spec.requires_tree and not trees_only:
+        print(f"graphrefute: conjecture {spec.id} holds for trees only; "
+              "--no-trees-only does not apply", file=sys.stderr)
+        return EXIT_USAGE
     recipe = args.initial or f"{spec.initial[0]}:{spec.initial[1]}"
     seeds = args.seeds or [args.seed]
     budget = "none" if args.time_budget is None else repr(args.time_budget)
@@ -148,6 +152,11 @@ def cmd_refute(args) -> int:
                 + "; ".join(violations),
                 file=sys.stderr,
             )
+            return EXIT_DATA
+        if not (initial.is_tree() if trees_only else initial.is_connected()):
+            need = "a tree" if trees_only else "a connected graph"
+            print(f"graphrefute: initial graph is not {need}, which the search space "
+                  "requires", file=sys.stderr)
             return EXIT_DATA
         params = SearchParams(
             max_depth=args.max_depth,

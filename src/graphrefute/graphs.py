@@ -79,7 +79,8 @@ class Graph:
     """Undirected simple graph on vertices 0..n-1, immutable after build."""
 
     # _score memoises conjectures.score's fast path: (conjecture id, Score).
-    __slots__ = ("n", "m", "_adj", "_score")
+    # _connected memoises is_connected: None until known, then True or False.
+    __slots__ = ("n", "m", "_adj", "_score", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -100,15 +101,18 @@ class Graph:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(s)) for s in adj))
         object.__setattr__(self, "_score", None)
+        object.__setattr__(self, "_connected", None)
 
     @classmethod
-    def _trusted(cls, adj: tuple[tuple[int, ...], ...], m: int) -> "Graph":
-        """Wrap adjacency the caller guarantees sorted, symmetric and simple."""
+    def _trusted(cls, adj: tuple[tuple[int, ...], ...], m: int, connected: bool | None) -> "Graph":
+        """Wrap adjacency the caller guarantees sorted, symmetric and simple,
+        with its connectivity if the caller knows it (else None)."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", len(adj))
         object.__setattr__(g, "m", m)
         object.__setattr__(g, "_adj", adj)
         object.__setattr__(g, "_score", None)
+        object.__setattr__(g, "_connected", connected)
         return g
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -152,8 +156,9 @@ class Graph:
     # -- structure predicates --------------------------------------------
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
+        """Walk the graph once; later calls read the memo."""
+        if self._connected is not None:
+            return self._connected
         seen = bytearray(self.n)
         seen[0] = 1
         stack = [0]
@@ -165,7 +170,8 @@ class Graph:
                     seen[v] = 1
                     count += 1
                     stack.append(v)
-        return count == self.n
+        object.__setattr__(self, "_connected", count == self.n)
+        return self._connected
 
     def is_tree(self) -> bool:
         return self.m == self.n - 1 and self.is_connected()
@@ -302,7 +308,10 @@ def apply_move(g: Graph, move: Move) -> Graph:
     """Apply a move to g, validating its preconditions.
 
     Forward moves patch a copy of g's adjacency. Their new vertex n is the
-    largest label, so appending it keeps each neighbour tuple sorted.
+    largest label, so appending it keeps each neighbour tuple sorted. They
+    keep a connected graph connected, so a child of a graph known to be
+    connected is known to be too; add-edge may join a disconnected graph, so
+    any other child starts unknown.
     """
     k = move.kind
     n, adj = g.n, list(g._adj)
@@ -312,7 +321,7 @@ def apply_move(g: Graph, move: Move) -> Graph:
             raise InvalidMoveError(f"add-leaf anchor {v} out of range")
         adj[v] += (n,)
         adj.append((v,))
-        return Graph._trusted(tuple(adj), g.m + 1)
+        return Graph._trusted(tuple(adj), g.m + 1, g._connected or None)
     if k is MoveKind.SUBDIVIDE:
         u, v = move.u, move.v
         if not (0 <= u < n and 0 <= v < n) or not g.has_edge(u, v):
@@ -320,7 +329,7 @@ def apply_move(g: Graph, move: Move) -> Graph:
         for a, b in ((u, v), (v, u)):
             adj[a] = tuple(x for x in adj[a] if x != b) + (n,)
         adj.append((min(u, v), max(u, v)))
-        return Graph._trusted(tuple(adj), g.m + 1)
+        return Graph._trusted(tuple(adj), g.m + 1, g._connected or None)
     if k is MoveKind.ADD_EDGE:
         u, v = move.u, move.v
         if not (0 <= u < n and 0 <= v < n) or u == v or g.has_edge(u, v):
@@ -328,7 +337,7 @@ def apply_move(g: Graph, move: Move) -> Graph:
         for a, b in ((u, v), (v, u)):
             i = bisect_left(adj[a], b)
             adj[a] = adj[a][:i] + (b,) + adj[a][i:]
-        return Graph._trusted(tuple(adj), g.m + 1)
+        return Graph._trusted(tuple(adj), g.m + 1, g._connected or None)
     if k is MoveKind.REMOVE_LEAF:
         v = move.u
         if not (0 <= v < g.n) or g.degree(v) != 1:
@@ -413,26 +422,19 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     n = g.n
     if g.m == n - 1:
         return _tree_distances(g)
-    # Level-synchronous BFS from all sources at once via boolean matmul.
-    a = np.zeros((n, n), dtype=np.float32)
-    for u, v in g.edges():
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    dist = np.zeros((n, n), dtype=np.int64)
-    reach = np.eye(n, dtype=bool)
-    frontier = reach
-    d = 0
-    while True:
-        d += 1
-        nxt = ((frontier.astype(np.float32) @ a) > 0) & ~reach
-        if not nxt.any():
-            break
-        dist[nxt] = d
-        reach |= nxt
-        frontier = nxt
-    if not reach.all():
-        raise GraphError("distance matrix requires a connected graph")
-    return dist
+    # Level-synchronous BFS from all sources at once: at level d, reach marks
+    # the pairs within d steps. A pair is marked at every level from its
+    # distance on, so its distance is the level count minus its marks.
+    step = np.zeros((n, n), dtype=np.float32)
+    step.put([u * n + v for u, nbrs in enumerate(g._adj) for v in (u, *nbrs)], 1)
+    reach = np.eye(n, dtype=np.float32)
+    marks = np.zeros((n, n), dtype=np.float32)
+    for levels in range(n):
+        if np.count_nonzero(reach) == n * n:
+            return (levels - marks).astype(np.int64)
+        marks += reach
+        reach = np.minimum(reach @ step, 1)
+    raise GraphError("distance matrix requires a connected graph")
 
 
 def _tree_distances(g: Graph) -> np.ndarray:

@@ -95,7 +95,10 @@ def symmetric_spectrum(m: np.ndarray, *, descending: bool, polish: bool = False)
     """
     a = np.asarray(m, dtype=np.float64)
     n = a.shape[0]
-    norm = float(np.linalg.norm(a, "fro"))
+    # Frobenius norm. The sum of squares of an integer matrix is exact in
+    # any order, so this equals np.linalg.norm(a, "fro") bit for bit.
+    flat = a.ravel()
+    norm = math.sqrt(float(flat @ flat))
     try:
         if polish:
             vals, vecs = np.linalg.eigh(a)
@@ -125,7 +128,7 @@ def symmetric_spectrum(m: np.ndarray, *, descending: bool, polish: bool = False)
             f"eigenvalue residual {quality:.3e} above target", residual=quality
         )
     ordered = vals[::-1] if descending else vals
-    return Spectrum(tuple(float(x) for x in ordered), bound)
+    return Spectrum(tuple(ordered.tolist()), bound)
 
 
 def lambda1(g: Graph) -> float:
@@ -272,10 +275,15 @@ def randic_general(g: Graph, alpha: float) -> float:
 
 def randic_general_exact(g: Graph, alpha: int) -> Fraction:
     """Exact general Randic index for integer exponents, summed per distinct
-    degree product."""
-    deg = list(map(len, g._adj))
-    products = Counter(deg[u] * deg[v] for u, v in g.edges())
-    return sum((k * Fraction(p) ** alpha for p, k in products.items()), Fraction(0))
+    degree product over one common denominator."""
+    adj = g._adj
+    deg = list(map(len, adj))
+    products = Counter(deg[u] * deg[v] for u, nbrs in enumerate(adj) for v in nbrs if v > u)
+    if alpha >= 0:
+        return Fraction(sum(k * p**alpha for p, k in products.items()))
+    powers = {p**-alpha: k for p, k in products.items()}
+    den = math.lcm(*powers)
+    return Fraction(sum(k * (den // q) for q, k in powers.items()), den)
 
 
 def randic(g: Graph) -> float:
@@ -290,10 +298,12 @@ def modified_second_zagreb(g: Graph) -> Fraction:
 
 def harmonic(g: Graph) -> Fraction:
     """Sum of 2 / (deg(u) + deg(v)) over edges, exact, summed per distinct
-    degree sum."""
-    deg = list(map(len, g._adj))
-    sums = Counter(deg[u] + deg[v] for u, v in g.edges())
-    return sum((Fraction(2 * k, s) for s, k in sums.items()), Fraction(0))
+    degree sum over one common denominator."""
+    adj = g._adj
+    deg = list(map(len, adj))
+    sums = Counter(deg[u] + deg[v] for u, nbrs in enumerate(adj) for v in nbrs if v > u)
+    den = math.lcm(*sums)
+    return Fraction(2 * sum(k * (den // s) for s, k in sums.items()), den)
 
 
 # -- matching number (blossom algorithm) -------------------------------------

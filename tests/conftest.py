@@ -39,6 +39,11 @@ def from_networkx(h) -> Graph:
     return Graph(len(nodes), [(index[u], index[v]) for u, v in h.edges()])
 
 
+def rebuilt(g: Graph) -> Graph:
+    """A validated copy of g with nothing memoised, so is_connected walks it."""
+    return Graph(g.n, g.edges())
+
+
 def random_connected_graph(n: int, rng: random.Random, chord_prob: float = 0.2) -> Graph:
     """Random tree plus random chords; connected by construction."""
     g = random_tree(n, rng)

@@ -18,6 +18,7 @@ from conftest import (
     clique_with_tail,
     from_networkx,
     random_connected_graph,
+    rebuilt,
     star_with_two_tails,
     two_star_centers_joined,
 )
@@ -199,14 +200,15 @@ def test_criterion_5_numerical_consistency():
 def test_criterion_6_property_suites():
     rng = random.Random(99)
 
-    # Search-space closure under every legal forward move.
+    # Search-space closure under every legal forward move, checked on a
+    # rebuilt copy: a child inherits its parent's connectivity unchecked.
     for _ in range(20):
         t = random_tree(rng.randrange(2, 9), rng)
         for move in legal_moves(t, SearchSpace.TREES):
-            assert apply_move(t, move).is_tree()
+            assert rebuilt(apply_move(t, move)).is_tree()
         g = random_connected_graph(rng.randrange(2, 9), rng)
         for move in legal_moves(g, SearchSpace.CONNECTED):
-            assert apply_move(g, move).is_connected()
+            assert rebuilt(apply_move(g, move)).is_connected()
 
     # Accepted-score strict monotonicity, the order floor, and
     # determinism under a fixed seed, on a real search.

@@ -153,6 +153,49 @@ def test_refute_rejects_bad_initial(capsys):
     assert code == 64
 
 
+def test_refute_rejects_initial_cycle_in_tree_space(capsys):
+    code, out, err = run(capsys, [
+        "refute", "--conjecture", "1", "--initial", "cycle:5", "--trees-only",
+    ])
+    assert code == 65 and out == ""
+    assert err == "graphrefute: initial graph is not a tree, which the search space requires\n"
+
+
+def test_refute_rejects_disconnected_initial_file(tmp_path, capsys):
+    # Two disjoint edges: conjecture 4 holds for any graph, so the
+    # hypotheses pass, but neither search space can start there.
+    target = write_g6(tmp_path, decode_graph6("C`"))
+    for flag, need in (("--trees-only", "a tree"), ("--no-trees-only", "a connected graph")):
+        code, out, err = run(capsys, [
+            "refute", "--conjecture", "4", "--initial", f"file:{target}", flag,
+        ])
+        assert code == 65 and out == ""
+        assert err.startswith(f"graphrefute: initial graph is not {need}")
+
+
+@pytest.mark.parametrize("cid", [3, 5, 6])
+def test_refute_rejects_no_trees_only_for_tree_conjectures(capsys, cid):
+    code, out, err = run(capsys, [
+        "refute", "--conjecture", str(cid), "--no-trees-only", "--seed", "1",
+        "--max-level", "1",
+    ])
+    assert code == 64 and out == ""
+    assert "--no-trees-only" in err
+
+
+def test_refute_no_trees_only_searches_connected_space_for_conjecture_2(capsys):
+    # Conjecture 2 is searched in tree space by default but holds for all
+    # connected graphs.
+    code, out, _ = run(capsys, [
+        "refute", "--conjecture", "2", "--initial", "path:6", "--no-trees-only",
+        "--seed", "1", "--max-depth", "1", "--max-level", "1",
+    ])
+    assert code == 2
+    assert "trees_only=false" in out
+    # It accepts graphs with cycles: n=6 m=6, then n=6 m=7.
+    assert "n=6 m=7 score=" in out
+
+
 def test_verify_command(tmp_path, capsys):
     good = write_g6(tmp_path, build_family("T1", 2), "good.g6")
     code, out, _ = run(capsys, ["verify", "--conjecture", "5", good])

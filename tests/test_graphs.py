@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_networkx, random_connected_graph, to_networkx
+from conftest import from_networkx, random_connected_graph, rebuilt, to_networkx
 from graphrefute import oracles
+from graphrefute.codec import decode_graph6, encode_graph6
 from graphrefute.graphs import (
     Graph,
     GraphError,
@@ -63,6 +64,11 @@ def test_graph_equality_and_hash():
     assert hash(a) == hash(b)
     assert a != Graph(3, [(0, 1)])
     assert len({a, b}) == 1
+    # The connectivity memo is not part of a graph's value.
+    assert a.is_connected() and (a._connected, b._connected) == (True, None)
+    assert a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        b._connected = True
 
 
 def test_constructors():
@@ -203,10 +209,10 @@ def test_random_playout_stays_in_space_and_adds_depth_vertices_or_edges():
     rng = random.Random(5)
     for _ in range(25):
         t = random_playout(path(4), 6, SearchSpace.TREES, rng)
-        assert t.is_tree()
+        assert rebuilt(t).is_tree()
         assert t.n == 10
         g = random_playout(path(4), 6, SearchSpace.CONNECTED, rng)
-        assert g.is_connected()
+        assert rebuilt(g).is_connected()
         assert (g.n - 4) + (g.m - (g.n - 1)) == 6
 
 
@@ -248,16 +254,47 @@ def test_forward_moves_match_a_validated_rebuild():
                 child.n = 3
 
 
+def test_forward_children_of_a_connected_graph_know_they_are_connected():
+    rng = random.Random(17)
+    for n in range(1, 11):
+        for g, space in [(random_tree(n, rng), SearchSpace.TREES),
+                         (random_connected_graph(n, rng), SearchSpace.CONNECTED)]:
+            assert g._connected is None
+            assert g.is_connected() and g._connected is True
+            for move in legal_moves(g, space):
+                child = apply_move(g, move)
+                assert child._connected is True
+                assert rebuilt(child).is_connected()
+            # Backward moves rebuild through Graph(...), which knows nothing.
+            for move in removable_vertices(g):
+                assert apply_move(g, move)._connected is None
+    assert decode_graph6(encode_graph6(path(4)))._connected is None
+
+
+def test_children_of_a_disconnected_graph_compute_connectivity():
+    two_edges = Graph(4, [(0, 1), (2, 3)])
+    assert not two_edges.is_connected() and two_edges._connected is False
+    joined = apply_move(two_edges, Move.add_edge(1, 2))
+    assert joined._connected is None and joined.is_connected()
+    with_isolated = Graph(5, [(0, 1), (2, 3)])
+    assert not with_isolated.is_connected()
+    for move in (Move.add_edge(1, 2), Move.add_leaf(0), Move.subdivide(0, 1)):
+        child = apply_move(with_isolated, move)
+        assert child._connected is None
+        assert not child.is_connected() and child._connected is False
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=9))
 def test_forward_moves_preserve_space_membership(seed, n):
     rng = random.Random(seed)
     t = random_tree(n, rng)
+    # A rebuilt copy knows nothing, so this walks each child.
     for move in legal_moves(t, SearchSpace.TREES):
-        assert apply_move(t, move).is_tree()
+        assert rebuilt(apply_move(t, move)).is_tree()
     g = random_connected_graph(n, rng)
     for move in legal_moves(g, SearchSpace.CONNECTED):
-        assert apply_move(g, move).is_connected()
+        assert rebuilt(apply_move(g, move)).is_connected()
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,6 +343,12 @@ def test_all_pairs_distances_requires_connected():
         all_pairs_distances(Graph(4, [(0, 1), (1, 2), (0, 2)]))
     with pytest.raises(GraphError):
         all_pairs_distances(Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+    # m >= n, so the level sweep must notice: K4 plus an isolated vertex, and
+    # two disjoint triangles.
+    with pytest.raises(GraphError):
+        all_pairs_distances(Graph(5, list(complete(4).edges())))
+    with pytest.raises(GraphError):
+        all_pairs_distances(Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
 
 
 def test_all_pairs_distances_matches_bfs_on_small_graphs():

@@ -194,13 +194,51 @@ def _index_test_graphs():
 
 
 def test_degree_indices_match_per_edge_sums():
+    # Includes the edgeless n = 1 graph, stars and cliques.
     for g in _index_test_graphs():
         deg = [g.degree(v) for v in range(g.n)]
         edges = list(g.edges())
         assert harmonic(g) == sum((Fraction(2, deg[u] + deg[v]) for u, v in edges), Fraction(0))
+        for alpha in (-2, -1, 1, 2):
+            assert randic_general_exact(g, alpha) == sum(
+                (Fraction(deg[u] * deg[v]) ** alpha for u, v in edges), Fraction(0)
+            )
         assert modified_second_zagreb(g) == sum(
             (Fraction(1, deg[u] * deg[v]) for u, v in edges), Fraction(0)
         )
+
+
+def _reference_spectrum(m, descending, polish):
+    """symmetric_spectrum's values and bound, written with np.linalg.norm and
+    one float() per eigenvalue."""
+    a = np.asarray(m, dtype=np.float64)
+    n = a.shape[0]
+    eps = float(np.finfo(np.float64).eps)
+    norm = float(np.linalg.norm(a, "fro"))
+    if polish:
+        vals, vecs = np.linalg.eigh(a)
+        r = float(np.linalg.norm(a @ vecs - vecs * vals, 2))
+        orth = float(np.linalg.norm(vecs.T @ vecs - np.eye(n), 2))
+        bound = r / (1.0 - orth) + 4.0 * n * eps * norm
+    else:
+        vals = np.linalg.eigvalsh(a)
+        bound = 10.0 * n * eps * norm
+    ordered = vals[::-1] if descending else vals
+    return tuple(float(x) for x in ordered), bound
+
+
+def test_symmetric_spectrum_matches_reference_bit_for_bit():
+    rng = random.Random(31)
+    graphs = [random_tree(rng.randint(1, 60), rng) for _ in range(15)]
+    graphs += [random_connected_graph(rng.randint(1, 40), rng) for _ in range(15)]
+    for g in graphs:
+        for m in (adjacency_matrix(g), laplacian_matrix(g), all_pairs_distances(g)):
+            for descending in (True, False):
+                for polish in (False, True):
+                    sp = symmetric_spectrum(m, descending=descending, polish=polish)
+                    values, bound = _reference_spectrum(m, descending, polish)
+                    assert sp.values == values and sp.residual_bound == bound
+                    assert all(type(x) is float for x in sp.values)
 
 
 def test_matrices_match_per_edge_fill():

@@ -8,14 +8,18 @@ import random
 
 import pytest
 
-from graphrefute import cli, conjectures
-from graphrefute.conjectures import score
+from conftest import random_connected_graph
+from graphrefute import cli, conjectures, search
+from graphrefute.conjectures import check_hypotheses, score
 from graphrefute.graphs import (
     Graph,
     GraphError,
+    MoveKind,
     SearchSpace,
     cycle,
+    legal_moves,
     path,
+    random_playout,
     random_tree,
     star,
 )
@@ -261,3 +265,57 @@ def test_amcs_trace_digest_is_pinned(cid, order, params, digest):
     assert any(r.depth > 0 for r in result.trace)
     text = "\n".join(cli._trace_lines(params.seed, result))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Graphs whose connectivity was really traversed, not read from the memo."""
+    walked = []
+    is_connected = Graph.is_connected
+
+    def counting(g: Graph) -> bool:
+        if g._connected is None:
+            walked.append(g)
+        return is_connected(g)
+
+    monkeypatch.setattr(Graph, "is_connected", counting)
+    return walked
+
+
+def test_playouts_from_a_known_connected_graph_never_walk(walks):
+    rng = random.Random(4)
+    for space, cid in ((SearchSpace.TREES, 5), (SearchSpace.CONNECTED, 9)):
+        for _ in range(20):
+            g = random_tree(7, rng) if space is SearchSpace.TREES else random_connected_graph(7, rng)
+            assert g.is_connected()
+            walks.clear()
+            out = random_playout(g, 6, space, rng)
+            assert check_hypotheses(cid, out) == []
+            assert out.is_connected() and legal_moves(out, space)
+            assert walks == []
+
+
+@pytest.mark.parametrize(
+    ("cid", "params"),
+    [
+        (5, SearchParams(max_depth=4, max_level=2, trees_only=True, seed=2)),
+        (8, SearchParams(max_depth=4, max_level=2, seed=5)),
+    ],
+    ids=["c5-trees", "c8-connected"],
+)
+def test_amcs_walks_only_the_initial_graph_and_pruned_graphs(monkeypatch, walks, cid, params):
+    # Forward children inherit connectivity; only the initial graph and each
+    # graph a backward prune step rebuilds start unknown.
+    prune_steps = []
+    apply_move = search.apply_move
+
+    def counting_apply(g, move):
+        if move.kind in (MoveKind.REMOVE_LEAF, MoveKind.SMOOTH):
+            prune_steps.append(move)
+        return apply_move(g, move)
+
+    monkeypatch.setattr(search, "apply_move", counting_apply)
+    rng = random.Random(params.seed)
+    result = amcs(random_tree(6, rng), params, lambda g: score(cid, g).value, rng=rng)
+    assert result.loop_passes > 1 and prune_steps
+    assert 1 <= len(walks) <= 1 + len(prune_steps)
