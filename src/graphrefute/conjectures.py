@@ -18,7 +18,7 @@ from typing import Callable
 import mpmath as mp
 
 from . import invariants as inv
-from .graphs import Graph, SearchSpace, all_pairs_distances
+from .graphs import TREE_TABLE, Graph, SearchSpace, all_pairs_distances, canonical_tree, tree_key
 
 NEG_INF = float("-inf")
 
@@ -399,6 +399,11 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
     same conjecture returns the stored Score without re-checking anything.
     Graphs are immutable and evaluation is deterministic, so a hit equals a
     fresh evaluation. polish=True never reads or writes the memo.
+
+    While a tree-space `amcs` runs, a tree's fast score is also looked up
+    by its isomorphism class in the search's table (graphs.TREE_TABLE). A
+    miss scores the tree's canonical relabelling, so every tree of a class
+    gets that one Score, bit for bit.
     """
     if not polish and g._score is not None and g._score[0] == conjecture_id:
         return g._score[1]
@@ -407,9 +412,19 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
         raise HypothesisError(
             f"conjecture {conjecture_id}: " + "; ".join(spec_violations)
         )
-    sc = _SCORERS[conjecture_id](g, _POLISHED if polish else _FAST)
-    if not polish:
-        object.__setattr__(g, "_score", (conjecture_id, sc))
+    if polish:
+        return _SCORERS[conjecture_id](g, _POLISHED)
+    table = TREE_TABLE.get()
+    if table is None or not g.is_tree():
+        sc = _SCORERS[conjecture_id](g, _FAST)
+    else:
+        ids, entries = table
+        key, labels, centres = tree_key(g, ids)
+        sc = entries.get((conjecture_id, key))
+        if sc is None:
+            sc = _SCORERS[conjecture_id](canonical_tree(g, labels, centres), _FAST)
+            entries[conjecture_id, key] = sc
+    object.__setattr__(g, "_score", (conjecture_id, sc))
     return sc
 
 

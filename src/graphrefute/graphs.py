@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left, bisect_right
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -412,6 +413,100 @@ def random_playout(g: Graph, depth: int, space: SearchSpace, rng: random.Random)
                     v += 1
         g = apply_move(g, Move(kind, u, v))
     return g
+
+
+# -- canonical forms of trees -------------------------------------------------
+
+
+# The transposition table of the tree-space search running in this context,
+# else None: (ids, entries). ``ids`` interns AHU labels for `tree_key`, so a
+# key means something only within one table; ``entries`` maps
+# (conjecture id, key) to the Score of that isomorphism class. search.amcs
+# sets and resets it; conjectures.score reads it.
+TREE_TABLE: ContextVar[tuple[dict, dict] | None] = ContextVar("tree_table", default=None)
+
+
+def tree_key(g: Graph, ids: dict) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """AHU canonical form of a tree (Aho, Hopcroft & Ullman, 1974).
+
+    Leaves are peeled layer by layer until the one or two centres remain.
+    Each vertex's label is the id ``ids`` interns for the sorted labels of
+    its peeled children, so two subtrees rooted towards the centre get one
+    label exactly when they are isomorphic. The key is the centre's label,
+    or the sorted pair of the two centres' labels: equal keys from one
+    ``ids`` mean isomorphic trees. Returns the key, every vertex's label and
+    the centres, which `canonical_tree` takes.
+    """
+    n, adj = g.n, g._adj
+    intern = ids.setdefault
+    leaf = intern((), len(ids))
+    if n <= 2:
+        return (leaf,) * n, [leaf] * n, list(range(n))
+    deg = list(map(len, adj))
+    leaves = [v for v in range(n) if deg[v] == 1]
+    labels = [-1] * n  # -1 until peeled
+    kids: list[list[int]] = [[] for _ in range(n)]
+    # The first layer needs no interning: a leaf's one neighbour is its parent.
+    layer = []
+    for v in leaves:
+        labels[v] = leaf
+        p = adj[v][0]
+        kids[p].append(leaf)
+        deg[p] -= 1
+        if deg[p] == 1:
+            layer.append(p)
+    left = n - len(leaves)
+    while left > 2:
+        if not layer:
+            raise GraphError("tree_key requires a tree")
+        left -= len(layer)
+        peeled, layer = layer, []
+        for v in peeled:
+            kids[v].sort()
+            labels[v] = label = intern(tuple(kids[v]), len(ids))
+            for p in adj[v]:  # the one neighbour not yet peeled
+                if labels[p] < 0:
+                    break
+            kids[p].append(label)
+            deg[p] -= 1
+            if deg[p] == 1:
+                layer.append(p)
+    for v in layer:
+        kids[v].sort()
+        labels[v] = intern(tuple(kids[v]), len(ids))
+    return tuple(sorted([labels[v] for v in layer])), labels, layer
+
+
+def canonical_tree(g: Graph, labels: list[int], centres: list[int]) -> Graph:
+    """Relabel a tree by breadth-first order from its centre(s), children in
+    label order, from `tree_key`'s labels and centres.
+
+    Children with equal labels root isomorphic subtrees, so either order
+    gives the same graph: trees keyed through one ``ids`` get equal graphs
+    exactly when they are isomorphic.
+    """
+    adj = g._adj
+    order = sorted(centres, key=labels.__getitem__)
+    placed = bytearray(g.n)
+    out: list[list[int]] = [[] for _ in range(g.n)]
+    if len(order) == 2:
+        out[0].append(1)
+        out[1].append(0)
+    for c in order:
+        placed[c] = 1
+    # Each vertex's parent has a smaller new label and its children take the
+    # next free ones, so every neighbour list is built in ascending order.
+    for i, v in enumerate(order):
+        if len(adj[v]) < 2:  # a leaf: its one neighbour is already placed
+            continue
+        kids = [w for w in adj[v] if not placed[w]]
+        kids.sort(key=labels.__getitem__)
+        for w in kids:
+            placed[w] = 1
+            out[i].append(len(order))
+            out[len(order)].append(i)
+            order.append(w)
+    return Graph._trusted(tuple(map(tuple, out)), g.m, True)
 
 
 # -- distances ---------------------------------------------------------------

@@ -103,8 +103,10 @@ def symmetric_spectrum(m: np.ndarray, *, descending: bool, polish: bool = False)
         if polish:
             vals, vecs = np.linalg.eigh(a)
             resid = a @ vecs - vecs * vals
-            r = float(np.linalg.norm(resid, 2))
-            orth = float(np.linalg.norm(vecs.T @ vecs - np.eye(n), 2))
+            # Frobenius norms bound the 2-norms from above, and r / (1 - orth)
+            # grows with both, so the bound stays valid without two SVDs.
+            r = float(np.linalg.norm(resid))
+            orth = float(np.linalg.norm(vecs.T @ vecs - np.eye(n)))
             if orth >= 0.5:
                 raise NumericError(
                     f"eigenvector basis badly non-orthogonal ({orth:.3e})",

@@ -21,6 +21,7 @@ from graphrefute.graphs import (
     SearchSpace,
     all_pairs_distances,
     apply_move,
+    canonical_tree,
     complete,
     connect_at,
     construct,
@@ -31,6 +32,7 @@ from graphrefute.graphs import (
     random_tree,
     removable_vertices,
     star,
+    tree_key,
 )
 
 
@@ -370,3 +372,72 @@ def test_all_pairs_distances_matches_bfs_on_random_graphs():
         n = rng.randint(1, 250)
         g = random_connected_graph(n, rng, chord_prob=0.0 if i % 2 == 0 else 0.05)
         assert all_pairs_distances(g).tolist() == oracles.distances_bfs(g)
+
+
+def _shuffled(g: Graph, rng: random.Random) -> Graph:
+    """g under a uniformly random relabelling."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_tree_key_separates_exactly_the_isomorphism_classes():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(17)
+    ids: dict = {}
+    owner = {}  # key -> index of the class that produced it
+    classes = [Graph(1)]
+    for n in range(2, 11):
+        classes += [from_networkx(h) for h in nx.nonisomorphic_trees(n)]
+    assert len(classes) == 201
+    for index, tree in enumerate(classes):
+        canonical = set()
+        for _ in range(5):
+            g = _shuffled(tree, rng)
+            g.is_connected()
+            key, labels, centres = tree_key(g, ids)
+            assert owner.setdefault(key, index) == index
+            c = canonical_tree(g, labels, centres)
+            assert c == rebuilt(c) and c.is_tree() and rebuilt(c).is_tree()
+            assert nx.is_isomorphic(to_networkx(c), to_networkx(tree))
+            canonical.add(c._adj)
+        # Isomorphic inputs relabel to one graph.
+        assert len(canonical) == 1
+    assert len(owner) == len(classes)
+
+
+def test_tree_key_centres():
+    ids: dict = {}
+    # One and two vertices: every vertex is a centre.
+    one, two = tree_key(Graph(1), ids), tree_key(path(2), ids)
+    assert one[2] == [0] and sorted(two[2]) == [0, 1]
+    assert len(one[0]) == 1 and len(two[0]) == 2 and one[0][0] == two[0][0]
+    assert canonical_tree(Graph(1), one[1], one[2]) == Graph(1)
+    assert canonical_tree(path(2), two[1], two[2]) == path(2)
+    # Odd paths and stars have one centre, even paths two; a unicentral and
+    # a bicentral key never meet, not even at equal order.
+    assert tree_key(path(5), ids)[2] == [2]
+    assert tree_key(star(6), ids)[2] == [0]
+    key, labels, centres = tree_key(path(6), ids)
+    assert sorted(centres) == [2, 3] and len(key) == 2 and key[0] == key[1]
+    spider = Graph(6, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)])  # legs 2, 2, 1
+    assert len(tree_key(spider, ids)[0]) == 1
+    assert tree_key(spider, ids)[0] != tree_key(path(6), ids)[0]
+    # Bicentral with unequal halves: the smaller label is centre 0.
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    key, labels, centres = tree_key(g, ids)
+    assert sorted(centres) == [0, 3] and key[0] < key[1]
+    c = canonical_tree(g, labels, centres)
+    first = min(centres, key=labels.__getitem__)
+    assert c.has_edge(0, 1) and c.degree(0) == g.degree(first) != c.degree(1)
+    # Neighbour tuples come out sorted, as a validated build makes them.
+    assert c == rebuilt(c)
+
+
+def test_tree_key_rejects_a_graph_with_a_cycle():
+    # n - 1 edges but a cycle: peeling stalls before the centre.
+    for bad in (Graph(4, [(0, 1), (1, 2), (0, 2)]),
+                Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3)])):
+        assert bad.m == bad.n - 1 and not bad.is_tree()
+        with pytest.raises(GraphError, match="tree"):
+            tree_key(bad, {})

@@ -217,8 +217,8 @@ def _reference_spectrum(m, descending, polish):
     norm = float(np.linalg.norm(a, "fro"))
     if polish:
         vals, vecs = np.linalg.eigh(a)
-        r = float(np.linalg.norm(a @ vecs - vecs * vals, 2))
-        orth = float(np.linalg.norm(vecs.T @ vecs - np.eye(n), 2))
+        r = float(np.linalg.norm(a @ vecs - vecs * vals, "fro"))
+        orth = float(np.linalg.norm(vecs.T @ vecs - np.eye(n), "fro"))
         bound = r / (1.0 - orth) + 4.0 * n * eps * norm
     else:
         vals = np.linalg.eigvalsh(a)

@@ -8,20 +8,23 @@ import random
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, rebuilt
 from graphrefute import cli, conjectures, search
 from graphrefute.conjectures import check_hypotheses, score
 from graphrefute.graphs import (
+    TREE_TABLE,
     Graph,
     GraphError,
     MoveKind,
     SearchSpace,
+    canonical_tree,
     cycle,
     legal_moves,
     path,
     random_playout,
     random_tree,
     star,
+    tree_key,
 )
 from graphrefute.search import SearchParams, amcs, nmcs, prune
 
@@ -215,32 +218,47 @@ def test_amcs_rejects_negative_or_non_finite_time_budget():
 )
 def test_amcs_trace_is_unchanged_by_the_score_memo(monkeypatch, cid, initial, params):
     # One run scores the graphs amcs hands it, so repeats hit the memo on
-    # the Graph; the other scores a fresh copy each time, so every call
-    # evaluates. Same calls and same trace: a hit returns what a fresh
-    # evaluation would.
+    # the Graph; the other scores a fresh copy each time. In tree space both
+    # also share the search's table, which scores each isomorphism class
+    # once, on its canonical relabelling. Every value the search sees must
+    # equal a fresh evaluation of the graph that was scored, and the two
+    # runs must make the same calls and leave the same trace.
     evaluations = []
     scorer = conjectures._SCORERS[cid]
     monkeypatch.setitem(conjectures._SCORERS, cid,
                         lambda g, ar: evaluations.append(g) or scorer(g, ar))
 
     def run(copy: bool):
-        calls = []
+        seen = []
         evaluations.clear()
 
         def score_fn(g: Graph) -> float:
-            calls.append(g)
-            return score(cid, Graph(g.n, g.edges()) if copy else g).value
+            value = score(cid, rebuilt(g) if copy else g).value
+            seen.append((g, value))
+            return value
 
         rng = random.Random(params.seed)
         start = random_tree(5, rng) if initial is None else initial
         result = amcs(start, params, score_fn, rng=rng)
-        return result.trace, len(calls), len(evaluations)
+        return result.trace, seen, len(evaluations)
 
-    memo_trace, memo_calls, memo_evals = run(copy=False)
-    fresh_trace, fresh_calls, fresh_evals = run(copy=True)
+    memo_trace, seen, memo_evals = run(copy=False)
+    fresh_trace, fresh_seen, fresh_evals = run(copy=True)
     assert memo_trace == fresh_trace
-    assert memo_calls == fresh_calls == fresh_evals
-    assert memo_evals < memo_calls
+    assert [v for _, v in seen] == [v for _, v in fresh_seen]
+    ids: dict = {}
+    classes = set()
+    for g, value in seen:
+        if params.trees_only:
+            # Keyed in the search's order, so the ids match its table's.
+            key, labels, centres = tree_key(g, ids)
+            classes.add(key)
+            g = canonical_tree(g, labels, centres)
+        assert value == scorer(rebuilt(g), conjectures._FAST).value
+    if params.trees_only:
+        assert memo_evals == fresh_evals == len(classes) < len(seen)
+    else:
+        assert memo_evals < fresh_evals == len(seen)
 
 
 @pytest.mark.parametrize(
@@ -319,3 +337,56 @@ def test_amcs_walks_only_the_initial_graph_and_pruned_graphs(monkeypatch, walks,
     result = amcs(random_tree(6, rng), params, lambda g: score(cid, g).value, rng=rng)
     assert result.loop_passes > 1 and prune_steps
     assert 1 <= len(walks) <= 1 + len(prune_steps)
+
+
+def test_amcs_opens_a_table_only_for_the_tree_search_it_runs():
+    tables = []
+
+    def spy(cid):
+        def score_fn(g: Graph) -> float:
+            table = TREE_TABLE.get()
+            tables.append((table, table and len(table[1])))
+            return score(cid, g).value
+        return score_fn
+
+    params = SearchParams(max_depth=2, max_level=1, trees_only=True, seed=3)
+    for _ in range(2):
+        tables.clear()
+        rng = random.Random(3)
+        amcs(random_tree(6, rng), params, spy(5), rng=rng)
+        assert TREE_TABLE.get() is None
+        # One table for the whole search, empty when it opens.
+        assert tables[0][0] is not None and tables[0][1] == 0
+        assert all(table is tables[0][0] for table, _ in tables)
+    tables.clear()
+    rng = random.Random(3)
+    amcs(random_tree(6, rng), SearchParams(max_depth=2, max_level=1, seed=3), spy(9), rng=rng)
+    assert tables and all(table is None for table, _ in tables)
+
+
+def test_amcs_closes_its_table_when_the_score_function_raises():
+    class Stop(Exception):
+        pass
+
+    calls = []
+
+    def capped(g: Graph) -> float:
+        if len(calls) == 40:
+            raise Stop
+        calls.append(TREE_TABLE.get())
+        return score(5, g).value
+
+    rng = random.Random(2)
+    with pytest.raises(Stop):
+        amcs(random_tree(5, rng), SearchParams(trees_only=True, seed=2), capped, rng=rng)
+    assert calls and all(table is not None for table in calls)
+    assert TREE_TABLE.get() is None
+
+
+def test_score_outside_a_search_computes_no_key(monkeypatch):
+    keys = []
+    monkeypatch.setattr(conjectures, "tree_key", lambda g, ids: keys.append(g))
+    for cid, g in ((5, random_tree(9, random.Random(1))), (2, path(13)), (4, star(6))):
+        score(cid, g)
+        score(cid, g, polish=True)
+    assert keys == []
