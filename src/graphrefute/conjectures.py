@@ -400,13 +400,18 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
     Graphs are immutable and evaluation is deterministic, so a hit equals a
     fresh evaluation. polish=True never reads or writes the memo.
 
+    A child that graphs.children put in the class of an earlier, isomorphic
+    sibling reads that sibling's memo when its own is empty. In connected
+    space that value may differ from its own labelling's in the last bits.
+
     While a tree-space `amcs` runs, a tree's fast score is also looked up
     by its isomorphism class in the search's table (graphs.TREE_TABLE). A
     miss scores the tree's canonical relabelling, so every tree of a class
     gets that one Score, bit for bit.
     """
-    if not polish and g._score is not None and g._score[0] == conjecture_id:
-        return g._score[1]
+    memo = g._score or g._sibling and g._sibling._score
+    if not polish and memo and memo[0] == conjecture_id:
+        return memo[1]
     spec_violations = check_hypotheses(conjecture_id, g)
     if spec_violations:
         raise HypothesisError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
@@ -81,7 +82,10 @@ class Graph:
 
     # _score memoises conjectures.score's fast path: (conjecture id, Score).
     # _connected memoises is_connected: None until known, then True or False.
-    __slots__ = ("n", "m", "_adj", "_score", "_connected")
+    # _sibling is None, or the first child of an isomorphic class of moves
+    # that `children` put this graph in: `score` may share its memo. Equality,
+    # hashing and the immutability guard ignore it.
+    __slots__ = ("n", "m", "_adj", "_score", "_connected", "_sibling")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -103,6 +107,7 @@ class Graph:
         object.__setattr__(self, "_adj", tuple(tuple(sorted(s)) for s in adj))
         object.__setattr__(self, "_score", None)
         object.__setattr__(self, "_connected", None)
+        object.__setattr__(self, "_sibling", None)
 
     @classmethod
     def _trusted(cls, adj: tuple[tuple[int, ...], ...], m: int, connected: bool | None) -> "Graph":
@@ -114,6 +119,7 @@ class Graph:
         object.__setattr__(g, "_adj", adj)
         object.__setattr__(g, "_score", None)
         object.__setattr__(g, "_connected", connected)
+        object.__setattr__(g, "_sibling", None)
         return g
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -293,6 +299,55 @@ def legal_moves(g: Graph, space: SearchSpace) -> list[Move]:
                 if v not in nbrs:
                     moves.append(Move.add_edge(u, v))
     return moves
+
+
+def children(g: Graph, space: SearchSpace) -> Iterator[Graph]:
+    """Yield the child of each of `legal_moves`, in its order.
+
+    Moves of one class give isomorphic children, and each child after the
+    first of its class refers to that first sibling in ``_sibling``. A class
+    is the move's kind plus its endpoints' classes: orbits under the tree's
+    automorphisms in tree space (`_orbits`), twin classes otherwise.
+    """
+    cls = _orbits(g) if space is SearchSpace.TREES else _twin_classes(g)
+    first: dict = {}
+    for move in legal_moves(g, space):
+        child = apply_move(g, move)
+        a, b = cls[move.u], cls[move.v] if move.v >= 0 else -1
+        rep = first.setdefault((move.kind, min(a, b), max(a, b)), child)
+        if rep is not child:
+            object.__setattr__(child, "_sibling", rep)
+        yield child
+
+
+def _orbits(g: Graph) -> list[int]:
+    """Each vertex's orbit in a tree: the interned `tree_key` labels on its
+    path from the centre. Two centres of equal label share an orbit."""
+    _, labels, centres = tree_key(g, {})
+    ids: dict = {}
+    orbit = [-1] * g.n
+    stack = [(c, -1) for c in centres]
+    while stack:
+        v, up = stack.pop()
+        orbit[v] = up = ids.setdefault((up, labels[v]), len(ids))
+        stack += [(w, up) for w in g._adj[v] if orbit[w] < 0 and w not in centres]
+    return orbit
+
+
+def _twin_classes(g: Graph) -> list[int]:
+    """Each vertex's twin class: u and v are twins when N(u) - {v} = N(v) - {u}.
+
+    Swapping twins is an automorphism. Twins share an open neighbourhood
+    (keyed as is) or a closed one (keyed in a 1-tuple), never both at one
+    vertex: a closed twin w of u lies in N(u), so an open twin v of u would
+    lie in N[w] - {u} = N(u) = N(v). Each class is thus of one kind, and its
+    transpositions give its whole symmetric group.
+    """
+    adj = g._adj
+    opens = Counter(adj)
+    ids: dict = {}
+    return [ids.setdefault(a if opens[a] > 1 else (tuple(sorted(a + (u,))),), len(ids))
+            for u, a in enumerate(adj)]
 
 
 def _relabel_without(edges: Iterable[tuple[int, int]], gone: int) -> list[tuple[int, int]]:

@@ -22,7 +22,7 @@ from .graphs import (
     GraphError,
     SearchSpace,
     apply_move,
-    legal_moves,
+    children,
     random_playout,
     removable_vertices,
 )
@@ -85,10 +85,9 @@ def _nmcs(
         if cand_score > best_score:
             best, best_score = candidate, cand_score
         return best, best_score
-    for move in legal_moves(g, space):
+    for child in children(g, space):
         if deadline is not None and time.perf_counter() > deadline:
             break
-        child = apply_move(g, move)
         child_score = score_fn(child)
         result, result_score = _nmcs(
             child, child_score, depth, level - 1, score_fn, space, rng, deadline

@@ -44,6 +44,46 @@ def rebuilt(g: Graph) -> Graph:
     return Graph(g.n, g.edges())
 
 
+def rooted_form(g: Graph, root: int) -> str:
+    """The tree g rooted at root as nested parentheses, each vertex's
+    subtrees sorted: two rooted trees get one string exactly when an
+    isomorphism maps root to root."""
+
+    def form(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(form(w, v) for w in g.neighbors(v) if w != parent)) + ")"
+
+    return form(root, -1)
+
+
+def isomorphism(g: Graph, h: Graph) -> list[int] | None:
+    """A vertex map p of connected g with {p[u], p[v]} an edge of h exactly
+    when {u, v} is one of g, found by backtracking over g's vertices in
+    breadth-first order; None when there is none."""
+    if g.n != h.n or g.m != h.m:
+        return None
+    order = [0]
+    for u in order:
+        order += [v for v in g.neighbors(u) if v not in order]
+    p = [-1] * g.n
+    used = [False] * h.n
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in range(h.n):
+            if used[w] or h.degree(w) != g.degree(v):
+                continue
+            if all(h.has_edge(w, p[u]) == g.has_edge(v, u) for u in order[:i]):
+                p[v], used[w] = w, True
+                if extend(i + 1):
+                    return True
+                used[w] = False
+        return False
+
+    return p if extend(0) else None
+
+
 def random_connected_graph(n: int, rng: random.Random, chord_prob: float = 0.2) -> Graph:
     """Random tree plus random chords; connected by construction."""
     g = random_tree(n, rng)

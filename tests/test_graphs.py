@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_networkx, random_connected_graph, rebuilt, to_networkx
+from conftest import from_networkx, random_connected_graph, rebuilt, rooted_form, to_networkx
 from graphrefute import oracles
 from graphrefute.codec import decode_graph6, encode_graph6
 from graphrefute.graphs import (
@@ -22,6 +22,7 @@ from graphrefute.graphs import (
     all_pairs_distances,
     apply_move,
     canonical_tree,
+    children,
     complete,
     connect_at,
     construct,
@@ -441,3 +442,62 @@ def test_tree_key_rejects_a_graph_with_a_cycle():
         assert bad.m == bad.n - 1 and not bad.is_tree()
         with pytest.raises(GraphError, match="tree"):
             tree_key(bad, {})
+
+
+def _siblings(g: Graph, space: SearchSpace) -> list[tuple[Graph, Graph | None]]:
+    """Each child of g, in move order, with the sibling it refers to."""
+    kids = list(children(g, space))
+    assert kids == [apply_move(g, move) for move in legal_moves(g, space)]
+    for i, child in enumerate(kids):
+        rep = child._sibling
+        # The sibling is the first of its class: an earlier child, itself
+        # referring to none.
+        assert rep is None or (any(k is rep for k in kids[:i]) and rep._sibling is None)
+    return [(child, child._sibling) for child in kids]
+
+
+def test_children_share_a_class_only_with_isomorphic_siblings_in_connected_space():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(23)
+    connected = [
+        from_networkx(h)
+        for h in nx.graph_atlas_g()
+        if 1 <= h.number_of_nodes() <= 6 and nx.is_connected(h)
+    ]
+    assert len(connected) == 143  # every connected graph on <= 6 vertices
+    shared = 0
+    for base in connected:
+        for g in (base, _shuffled(base, rng), _shuffled(base, rng)):
+            for child, rep in _siblings(g, SearchSpace.CONNECTED):
+                if rep is not None:
+                    shared += 1
+                    assert nx.is_isomorphic(to_networkx(child), to_networkx(rep))
+    assert shared > 1000
+
+
+def test_children_share_a_class_exactly_within_a_tree_orbit():
+    # Soundness: siblings of one class are isomorphic (equal keys through
+    # one ids). Exactness: two children are in one class when an
+    # isomorphism maps one's new vertex onto the other's, which for
+    # add-leaf at v and w, or subdivide e and f, is an automorphism of the
+    # parent taking v to w, or e to f.
+    rng = random.Random(29)
+    ids: dict = {}
+    for _ in range(200):
+        g = random_tree(rng.randint(1, 80), rng)
+        siblings = _siblings(g, SearchSpace.TREES)
+        owner: dict = {}
+        for child, rep in siblings:
+            if rep is not None:
+                assert tree_key(child, ids)[0] == tree_key(rep, ids)[0]
+            first = rep or child
+            assert owner.setdefault(rooted_form(child, child.n - 1), first) is first
+        assert len(owner) == sum(rep is None for _, rep in siblings)
+
+
+def test_star_add_leaf_children_fall_into_two_classes():
+    # K_{1,k}: a leaf at the centre, or at any one of the k twin leaves.
+    for space in SearchSpace:
+        for k in (2, 3, 7):
+            leaves = _siblings(star(k + 1), space)[: k + 1]
+            assert [rep is None for _, rep in leaves] == [True, True] + [False] * (k - 1)

@@ -8,8 +8,8 @@ import random
 
 import pytest
 
-from conftest import random_connected_graph, rebuilt
-from graphrefute import cli, conjectures, search
+from conftest import isomorphism, random_connected_graph, rebuilt, rooted_form
+from graphrefute import cli, conjectures, graphs, search
 from graphrefute.conjectures import check_hypotheses, score
 from graphrefute.graphs import (
     TREE_TABLE,
@@ -218,11 +218,12 @@ def test_amcs_rejects_negative_or_non_finite_time_budget():
 )
 def test_amcs_trace_is_unchanged_by_the_score_memo(monkeypatch, cid, initial, params):
     # One run scores the graphs amcs hands it, so repeats hit the memo on
-    # the Graph; the other scores a fresh copy each time. In tree space both
+    # the Graph and a child shares the memo of the first sibling of its
+    # class; the other scores a fresh copy each time. In tree space both
     # also share the search's table, which scores each isomorphism class
-    # once, on its canonical relabelling. Every value the search sees must
-    # equal a fresh evaluation of the graph that was scored, and the two
-    # runs must make the same calls and leave the same trace.
+    # once, on its canonical relabelling. The two runs must make the same
+    # calls and leave the same trace, and every value the search sees must
+    # equal a fresh evaluation of a graph proven isomorphic to the one scored.
     evaluations = []
     scorer = conjectures._SCORERS[cid]
     monkeypatch.setitem(conjectures._SCORERS, cid,
@@ -245,44 +246,86 @@ def test_amcs_trace_is_unchanged_by_the_score_memo(monkeypatch, cid, initial, pa
     memo_trace, seen, memo_evals = run(copy=False)
     fresh_trace, fresh_seen, fresh_evals = run(copy=True)
     assert memo_trace == fresh_trace
-    assert [v for _, v in seen] == [v for _, v in fresh_seen]
+    assert [g for g, _ in seen] == [g for g, _ in fresh_seen]
     ids: dict = {}
     classes = set()
-    for g, value in seen:
+    shared = 0
+    for (g, value), (_, fresh_value) in zip(seen, fresh_seen):
         if params.trees_only:
             # Keyed in the search's order, so the ids match its table's.
             key, labels, centres = tree_key(g, ids)
             classes.add(key)
+            assert value == fresh_value
             g = canonical_tree(g, labels, centres)
+        else:
+            # The copy run evaluates each labelled graph afresh.
+            assert fresh_value == scorer(rebuilt(g), conjectures._FAST).value
+            if g._sibling is not None:
+                # A shared value is the sibling's: prove the sibling
+                # isomorphic by an explicit relabelling, then evaluate it.
+                p = isomorphism(g, g._sibling)
+                assert p is not None
+                assert Graph(g.n, [(p[u], p[v]) for u, v in g.edges()]) == g._sibling
+                g = g._sibling
+                shared += 1
         assert value == scorer(rebuilt(g), conjectures._FAST).value
     if params.trees_only:
         assert memo_evals == fresh_evals == len(classes) < len(seen)
     else:
-        assert memo_evals < fresh_evals == len(seen)
+        assert 0 < shared and memo_evals < fresh_evals == len(seen)
 
 
 @pytest.mark.parametrize(
-    ("cid", "order", "params", "digest"),
+    ("cid", "start", "params", "deep", "digest"),
     [
         # From order 10 every c7 pass improves at depth 0, so start at 6,
         # where passes 3 and 6 are won by depth-1 playouts. c7's scores are
         # LAPACK floats: another BLAS build may round them differently.
-        (7, 6, SearchParams(max_depth=3, max_level=1, seed=1),
-         "d1fb49e93e2cf9258bb9065ca4e3c3b62a738a472fe21e829e23ba53cd0d0267"),
-        (5, 5, SearchParams(max_depth=4, max_level=3, trees_only=True, seed=1),
-         "004e6b5f2df19cd43cc88abbd13f699ac61aa469366a343aa1de167de79c0667"),
+        (7, lambda rng: random_tree(6, rng), SearchParams(max_depth=3, max_level=1, seed=1),
+         True, "d1fb49e93e2cf9258bb9065ca4e3c3b62a738a472fe21e829e23ba53cd0d0267"),
+        (5, lambda rng: random_tree(5, rng),
+         SearchParams(max_depth=4, max_level=3, trees_only=True, seed=1),
+         True, "004e6b5f2df19cd43cc88abbd13f699ac61aa469366a343aa1de167de79c0667"),
+        # Every pass is a level-1 expansion won at depth 0, from n = 13 to 28.
+        (2, lambda rng: path(13), SearchParams(max_level=1, trees_only=True, seed=1, tau=-1.0),
+         False, "4a813567bcecae66e90de52c01cecdb935f574f7923fdfea823c6f31119ce4fb"),
     ],
-    ids=["c7-connected", "c5-trees"],
+    ids=["c7-connected", "c5-trees", "c2-path13"],
 )
-def test_amcs_trace_digest_is_pinned(cid, order, params, digest):
+def test_amcs_trace_digest_is_pinned(monkeypatch, cid, start, params, deep, digest):
     # Any change to the RNG stream or to the order of legal moves shows up
     # here: playouts of depth > 0 and prunes draw from the same generator.
+    # All three digests hold with and without sibling sharing.
+    keys = []
+    key = graphs.tree_key
+    for module in (graphs, conjectures):
+        monkeypatch.setattr(module, "tree_key", lambda g, ids: keys.append(g) or key(g, ids))
+    expansions = []
+
+    def recording(g, space):
+        expansions.append([])
+        for child in graphs.children(g, space):
+            expansions[-1].append(child)
+            yield child
+
+    monkeypatch.setattr(search, "children", recording)
+    scored = []
     rng = random.Random(params.seed)
-    result = amcs(random_tree(order, rng), params, lambda g: score(cid, g).value,
+    result = amcs(start(rng), params, lambda g: scored.append(g) or score(cid, g).value,
                   rng=rng)
-    assert any(r.depth > 0 for r in result.trace)
+    assert any(r.depth > 0 for r in result.trace) == deep
     text = "\n".join(cli._trace_lines(params.seed, result))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    if not params.trees_only:
+        assert keys == []
+        return
+    # At most one key per expansion (its orbits), one per sibling class
+    # (the classes are counted by the rooted-form oracle) and one per other
+    # graph scored: the initial one, pruned ones and playouts.
+    kids = {id(child) for children in expansions for child in children}
+    others = {id(g) for g in scored} - kids
+    classes = sum(len({rooted_form(c, c.n - 1) for c in children}) for children in expansions)
+    assert len(keys) <= len(expansions) + classes + len(others) < len(kids) + len(others)
 
 
 @pytest.fixture
