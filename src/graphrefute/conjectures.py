@@ -18,7 +18,7 @@ from typing import Callable
 import mpmath as mp
 
 from . import invariants as inv
-from .graphs import TREE_TABLE, Graph, SearchSpace, all_pairs_distances, canonical_tree, tree_key
+from .graphs import Graph, SearchSpace, all_pairs_distances
 
 NEG_INF = float("-inf")
 
@@ -401,13 +401,8 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
     fresh evaluation. polish=True never reads or writes the memo.
 
     A child that graphs.children put in the class of an earlier, isomorphic
-    sibling reads that sibling's memo when its own is empty. In connected
-    space that value may differ from its own labelling's in the last bits.
-
-    While a tree-space `amcs` runs, a tree's fast score is also looked up
-    by its isomorphism class in the search's table (graphs.TREE_TABLE). A
-    miss scores the tree's canonical relabelling, so every tree of a class
-    gets that one Score, bit for bit.
+    sibling reads that sibling's memo when its own is empty. A spectral
+    value so shared may differ from its own labelling's in the last bits.
     """
     memo = g._score or g._sibling and g._sibling._score
     if not polish and memo and memo[0] == conjecture_id:
@@ -419,16 +414,7 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
         )
     if polish:
         return _SCORERS[conjecture_id](g, _POLISHED)
-    table = TREE_TABLE.get()
-    if table is None or not g.is_tree():
-        sc = _SCORERS[conjecture_id](g, _FAST)
-    else:
-        ids, entries = table
-        key, labels, centres = tree_key(g, ids)
-        sc = entries.get((conjecture_id, key))
-        if sc is None:
-            sc = _SCORERS[conjecture_id](canonical_tree(g, labels, centres), _FAST)
-            entries[conjecture_id, key] = sc
+    sc = _SCORERS[conjecture_id](g, _FAST)
     object.__setattr__(g, "_score", (conjecture_id, sc))
     return sc
 

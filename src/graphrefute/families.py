@@ -191,11 +191,16 @@ class FamilyReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        """True when there were checks and every one passed."""
+        return bool(self.checks) and all(c.ok for c in self.checks)
 
     def lines(self) -> list[str]:
         out = [c.line() for c in self.checks]
-        out.append(f"family {self.name}: {'all checks passed' if self.ok else 'MISMATCHES found'}")
+        if not self.checks:
+            verdict = "no closed form covers these members, nothing checked"
+        else:
+            verdict = "all checks passed" if self.ok else "MISMATCHES found"
+        out.append(f"family {self.name}: {verdict}")
         return out
 
 

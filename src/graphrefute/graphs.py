@@ -12,7 +12,6 @@ import heapq
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -82,9 +81,9 @@ class Graph:
 
     # _score memoises conjectures.score's fast path: (conjecture id, Score).
     # _connected memoises is_connected: None until known, then True or False.
-    # _sibling is None, or the first child of an isomorphic class of moves
-    # that `children` put this graph in: `score` may share its memo. Equality,
-    # hashing and the immutability guard ignore it.
+    # _sibling is None, or the first child of the class of moves that
+    # `children` put this graph in, which is isomorphic to it: `score` may
+    # share its memo. Equality, hashing and the immutability guard ignore it.
     __slots__ = ("n", "m", "_adj", "_score", "_connected", "_sibling")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -305,19 +304,52 @@ def children(g: Graph, space: SearchSpace) -> Iterator[Graph]:
     """Yield the child of each of `legal_moves`, in its order.
 
     Moves of one class give isomorphic children, and each child after the
-    first of its class refers to that first sibling in ``_sibling``. A class
-    is the move's kind plus its endpoints' classes: orbits under the tree's
-    automorphisms in tree space (`_orbits`), twin classes otherwise.
+    first of its class refers to that first sibling in ``_sibling``. In tree
+    space the classes are the children's isomorphism classes
+    (`_tree_classes`); otherwise they come from twin vertices
+    (`_twin_classes`).
     """
-    cls = _orbits(g) if space is SearchSpace.TREES else _twin_classes(g)
+    moves = legal_moves(g, space)
+    classes = _tree_classes(g) if space is SearchSpace.TREES else _twin_classes(g, moves)
     first: dict = {}
-    for move in legal_moves(g, space):
+    for move, cls in zip(moves, classes):
         child = apply_move(g, move)
-        a, b = cls[move.u], cls[move.v] if move.v >= 0 else -1
-        rep = first.setdefault((move.kind, min(a, b), max(a, b)), child)
+        rep = first.setdefault(cls, child)
         if rep is not child:
             object.__setattr__(child, "_sibling", rep)
         yield child
+
+
+def _tree_classes(g: Graph) -> list[tuple[int, int]]:
+    """Each tree-space move's class, in `legal_moves` order.
+
+    A chain is a maximal path whose inner vertices have degree 2.
+    Subdividing any of its edges, or adding a leaf at an end of it that is a
+    leaf, makes that chain one edge longer and gives one tree. A chain's
+    class is the least unordered pair of endpoint orbits among its edges.
+    Those pairs are exact edge orbits, and automorphisms map chains onto
+    chains, so two chains share a class only when one orbit holds both.
+    Adding a leaf at any other vertex is classed by the vertex's orbit,
+    paired with -1 so that it meets no chain.
+    """
+    adj = g._adj
+    orbit = _orbits(g)
+    chain: dict = {}  # each edge, both ways round, to its chain's class
+    for s, nbrs in enumerate(adj):
+        for w in nbrs if len(nbrs) != 2 else ():
+            if (s, w) in chain:  # walked from its other end
+                continue
+            u, v = s, w
+            cls = min((orbit[u], orbit[v]), (orbit[v], orbit[u]))
+            edges = [(u, v), (v, u)]
+            while len(adj[v]) == 2:
+                a, b = adj[v]
+                u, v = v, a if b == u else b
+                cls = min(cls, (orbit[u], orbit[v]), (orbit[v], orbit[u]))
+                edges += [(u, v), (v, u)]
+            chain.update(dict.fromkeys(edges, cls))
+    leaves = [chain[v, a[0]] if len(a) == 1 else (-1, orbit[v]) for v, a in enumerate(adj)]
+    return leaves + [chain[e] for e in g.edges()]
 
 
 def _orbits(g: Graph) -> list[int]:
@@ -334,8 +366,9 @@ def _orbits(g: Graph) -> list[int]:
     return orbit
 
 
-def _twin_classes(g: Graph) -> list[int]:
-    """Each vertex's twin class: u and v are twins when N(u) - {v} = N(v) - {u}.
+def _twin_classes(g: Graph, moves: list[Move]) -> list[tuple]:
+    """Each connected-space move's class: its kind plus its endpoints' twin
+    classes, unordered. u and v are twins when N(u) - {v} = N(v) - {u}.
 
     Swapping twins is an automorphism. Twins share an open neighbourhood
     (keyed as is) or a closed one (keyed in a 1-tuple), never both at one
@@ -346,8 +379,13 @@ def _twin_classes(g: Graph) -> list[int]:
     adj = g._adj
     opens = Counter(adj)
     ids: dict = {}
-    return [ids.setdefault(a if opens[a] > 1 else (tuple(sorted(a + (u,))),), len(ids))
+    twin = [ids.setdefault(a if opens[a] > 1 else (tuple(sorted(a + (u,))),), len(ids))
             for u, a in enumerate(adj)]
+    out = []
+    for move in moves:
+        a, b = twin[move.u], twin[move.v] if move.v >= 0 else -1
+        out.append((move.kind, min(a, b), max(a, b)))
+    return out
 
 
 def _relabel_without(edges: Iterable[tuple[int, int]], gone: int) -> list[tuple[int, int]]:
@@ -470,15 +508,7 @@ def random_playout(g: Graph, depth: int, space: SearchSpace, rng: random.Random)
     return g
 
 
-# -- canonical forms of trees -------------------------------------------------
-
-
-# The transposition table of the tree-space search running in this context,
-# else None: (ids, entries). ``ids`` interns AHU labels for `tree_key`, so a
-# key means something only within one table; ``entries`` maps
-# (conjecture id, key) to the Score of that isomorphism class. search.amcs
-# sets and resets it; conjectures.score reads it.
-TREE_TABLE: ContextVar[tuple[dict, dict] | None] = ContextVar("tree_table", default=None)
+# -- AHU labels of trees -----------------------------------------------------
 
 
 def tree_key(g: Graph, ids: dict) -> tuple[tuple[int, ...], list[int], list[int]]:
@@ -490,7 +520,7 @@ def tree_key(g: Graph, ids: dict) -> tuple[tuple[int, ...], list[int], list[int]
     label exactly when they are isomorphic. The key is the centre's label,
     or the sorted pair of the two centres' labels: equal keys from one
     ``ids`` mean isomorphic trees. Returns the key, every vertex's label and
-    the centres, which `canonical_tree` takes.
+    the centres, from which `_orbits` derives vertex orbits.
     """
     n, adj = g.n, g._adj
     intern = ids.setdefault
@@ -530,38 +560,6 @@ def tree_key(g: Graph, ids: dict) -> tuple[tuple[int, ...], list[int], list[int]
         kids[v].sort()
         labels[v] = intern(tuple(kids[v]), len(ids))
     return tuple(sorted([labels[v] for v in layer])), labels, layer
-
-
-def canonical_tree(g: Graph, labels: list[int], centres: list[int]) -> Graph:
-    """Relabel a tree by breadth-first order from its centre(s), children in
-    label order, from `tree_key`'s labels and centres.
-
-    Children with equal labels root isomorphic subtrees, so either order
-    gives the same graph: trees keyed through one ``ids`` get equal graphs
-    exactly when they are isomorphic.
-    """
-    adj = g._adj
-    order = sorted(centres, key=labels.__getitem__)
-    placed = bytearray(g.n)
-    out: list[list[int]] = [[] for _ in range(g.n)]
-    if len(order) == 2:
-        out[0].append(1)
-        out[1].append(0)
-    for c in order:
-        placed[c] = 1
-    # Each vertex's parent has a smaller new label and its children take the
-    # next free ones, so every neighbour list is built in ascending order.
-    for i, v in enumerate(order):
-        if len(adj[v]) < 2:  # a leaf: its one neighbour is already placed
-            continue
-        kids = [w for w in adj[v] if not placed[w]]
-        kids.sort(key=labels.__getitem__)
-        for w in kids:
-            placed[w] = 1
-            out[i].append(len(order))
-            out[len(order)].append(i)
-            order.append(w)
-    return Graph._trusted(tuple(map(tuple, out)), g.m, True)
 
 
 # -- distances ---------------------------------------------------------------

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .graphs import (
-    TREE_TABLE,
     Graph,
     GraphError,
     SearchSpace,
@@ -151,10 +150,6 @@ def amcs(
 
     Identical (initial, params, rng seed) replay the same trace, provided
     the time budget does not bind.
-
-    A tree-space search opens a fresh graphs.TREE_TABLE for its duration,
-    so conjectures.score scores each tree isomorphism class once; the
-    table is closed on return and when the score function raises.
     """
     if params.max_depth < 0 or params.max_level < 0:
         raise ValueError("max_depth and max_level must be non-negative")
@@ -171,22 +166,6 @@ def amcs(
         raise GraphError("search requires a connected initial graph")
     if rng is None:
         rng = random.Random(params.seed)
-    token = TREE_TABLE.set(({}, {}) if space is SearchSpace.TREES else None)
-    try:
-        return _adaptive(initial, params, score_fn, space, rng)
-    finally:
-        TREE_TABLE.reset(token)
-
-
-def _adaptive(
-    initial: Graph,
-    params: SearchParams,
-    score_fn: ScoreFn,
-    space: SearchSpace,
-    rng: random.Random,
-) -> SearchResult:
-    """The outer loop of `amcs`, on validated arguments."""
-    budget = params.time_budget
     start = time.perf_counter()
     deadline = None if budget is None else start + budget
     min_order = initial.n

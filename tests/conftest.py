@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+
+# LAPACK rounds differently under more than one BLAS thread, and the pinned
+# trace digests hold spectral floats, so pin one thread unless the caller
+# chose a count. This must run before anything imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from graphrefute.graphs import Graph, complete, connect_at, path, random_tree, star
 
@@ -42,17 +48,6 @@ def from_networkx(h) -> Graph:
 def rebuilt(g: Graph) -> Graph:
     """A validated copy of g with nothing memoised, so is_connected walks it."""
     return Graph(g.n, g.edges())
-
-
-def rooted_form(g: Graph, root: int) -> str:
-    """The tree g rooted at root as nested parentheses, each vertex's
-    subtrees sorted: two rooted trees get one string exactly when an
-    isomorphism maps root to root."""
-
-    def form(v: int, parent: int) -> str:
-        return "(" + "".join(sorted(form(w, v) for w in g.neighbors(v) if w != parent)) + ")"
-
-    return form(root, -1)
 
 
 def isomorphism(g: Graph, h: Graph) -> list[int] | None:

@@ -228,6 +228,10 @@ def test_family_verify_ranges(capsys):
     code, out, _ = run(capsys, ["family", "T2B", "1..3", "--verify"])
     assert code == 3
     assert "MISMATCH alpha p=1" in out
+    # A range with no closed form to check is not a pass.
+    code, out, _ = run(capsys, ["family", "T1", "1", "--verify"])
+    assert code == 3
+    assert "all checks passed" not in out and "nothing checked" in out
 
 
 def test_family_usage_errors(capsys):

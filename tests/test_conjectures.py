@@ -24,7 +24,6 @@ from graphrefute.conjectures import (
 )
 from graphrefute.families import build_family
 from graphrefute.graphs import (
-    TREE_TABLE,
     Graph,
     SearchSpace,
     complete,
@@ -223,35 +222,6 @@ def test_score_memo_stores_no_hypothesis_error(monkeypatch):
             score(5, g)
     assert len(calls) == 2
     assert g._score is None
-
-
-def test_tree_table_scores_each_isomorphism_class_once(monkeypatch):
-    calls = _count_scorer_calls(monkeypatch, 4)
-    g = random_tree(12, random.Random(8))
-    perm = list(range(12))
-    random.Random(9).shuffle(perm)
-    twin = Graph(12, [(perm[u], perm[v]) for u, v in g.edges()])
-    entries: dict = {}
-    token = TREE_TABLE.set(({}, entries))
-    try:
-        first = score(4, g)
-        assert score(4, twin) is first and twin._score == (4, first)
-        # One evaluation, of the canonical relabelling rather than g.
-        assert len(calls) == 1 and calls[0] is not g
-        assert score(4, path(5)) is not first and len(calls) == 2
-        # Hypotheses are checked on the graph given, before any lookup.
-        with pytest.raises(HypothesisError):
-            score(5, cycle(4))
-        # A graph with a cycle is scored as it is and enters no table.
-        before = dict(entries)
-        c = cycle(5)
-        score(4, c)
-        assert calls[-1] is c and entries == before
-        # polish=True evaluates the labelled graph, outside the table.
-        assert score(4, g, polish=True).value == pytest.approx(first.value, abs=1e-12)
-        assert calls[-1] is g
-    finally:
-        TREE_TABLE.reset(token)
 
 
 def test_polished_score_and_verify_strict_bypass_the_memo():

@@ -101,6 +101,14 @@ def test_verify_family_reports_bad_base_case():
     assert any("s10 p=1" in line for line in bad)
 
 
+def test_verify_family_that_checks_nothing_is_not_ok():
+    # T1(1) has no closed form and a one-member range has no monotone check.
+    report = verify_family("T1", [1])
+    assert report.checks == [] and not report.ok
+    assert report.lines() == ["family T1: no closed form covers these members, nothing checked"]
+    assert verify_family("T1", [1, 2]).ok
+
+
 def test_verify_family_monotone_tail():
     # s9 turns positive at b = 9 (b = 8 lands exactly on zero), s10 at b = 5.
     report = verify_family("T2B", list(range(2, 15)))

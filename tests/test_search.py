@@ -8,16 +8,14 @@ import random
 
 import pytest
 
-from conftest import isomorphism, random_connected_graph, rebuilt, rooted_form
+from conftest import isomorphism, random_connected_graph, rebuilt
 from graphrefute import cli, conjectures, graphs, search
 from graphrefute.conjectures import check_hypotheses, score
 from graphrefute.graphs import (
-    TREE_TABLE,
     Graph,
     GraphError,
     MoveKind,
     SearchSpace,
-    canonical_tree,
     cycle,
     legal_moves,
     path,
@@ -219,11 +217,10 @@ def test_amcs_rejects_negative_or_non_finite_time_budget():
 def test_amcs_trace_is_unchanged_by_the_score_memo(monkeypatch, cid, initial, params):
     # One run scores the graphs amcs hands it, so repeats hit the memo on
     # the Graph and a child shares the memo of the first sibling of its
-    # class; the other scores a fresh copy each time. In tree space both
-    # also share the search's table, which scores each isomorphism class
-    # once, on its canonical relabelling. The two runs must make the same
-    # calls and leave the same trace, and every value the search sees must
-    # equal a fresh evaluation of a graph proven isomorphic to the one scored.
+    # class; the other scores a fresh copy each time. The two runs must make
+    # the same calls and leave the same trace, and every value the search
+    # sees must equal a fresh evaluation of the graph scored or of a
+    # sibling proven isomorphic to it.
     evaluations = []
     scorer = conjectures._SCORERS[cid]
     monkeypatch.setitem(conjectures._SCORERS, cid,
@@ -248,31 +245,24 @@ def test_amcs_trace_is_unchanged_by_the_score_memo(monkeypatch, cid, initial, pa
     assert memo_trace == fresh_trace
     assert [g for g, _ in seen] == [g for g, _ in fresh_seen]
     ids: dict = {}
-    classes = set()
     shared = 0
     for (g, value), (_, fresh_value) in zip(seen, fresh_seen):
-        if params.trees_only:
-            # Keyed in the search's order, so the ids match its table's.
-            key, labels, centres = tree_key(g, ids)
-            classes.add(key)
-            assert value == fresh_value
-            g = canonical_tree(g, labels, centres)
-        else:
-            # The copy run evaluates each labelled graph afresh.
-            assert fresh_value == scorer(rebuilt(g), conjectures._FAST).value
-            if g._sibling is not None:
-                # A shared value is the sibling's: prove the sibling
-                # isomorphic by an explicit relabelling, then evaluate it.
+        # The copy run evaluates each labelled graph afresh.
+        assert fresh_value == scorer(rebuilt(g), conjectures._FAST).value
+        if g._sibling is not None:
+            # A shared value is the sibling's: prove the sibling isomorphic,
+            # by equal keys through one ids for trees and by an explicit
+            # relabelling otherwise, then evaluate it.
+            if params.trees_only:
+                assert tree_key(g, ids)[0] == tree_key(g._sibling, ids)[0]
+            else:
                 p = isomorphism(g, g._sibling)
                 assert p is not None
                 assert Graph(g.n, [(p[u], p[v]) for u, v in g.edges()]) == g._sibling
-                g = g._sibling
-                shared += 1
+            g = g._sibling
+            shared += 1
         assert value == scorer(rebuilt(g), conjectures._FAST).value
-    if params.trees_only:
-        assert memo_evals == fresh_evals == len(classes) < len(seen)
-    else:
-        assert 0 < shared and memo_evals < fresh_evals == len(seen)
+    assert 0 < shared and memo_evals < fresh_evals == len(seen)
 
 
 @pytest.mark.parametrize(
@@ -288,18 +278,16 @@ def test_amcs_trace_is_unchanged_by_the_score_memo(monkeypatch, cid, initial, pa
          True, "004e6b5f2df19cd43cc88abbd13f699ac61aa469366a343aa1de167de79c0667"),
         # Every pass is a level-1 expansion won at depth 0, from n = 13 to 28.
         (2, lambda rng: path(13), SearchParams(max_level=1, trees_only=True, seed=1, tau=-1.0),
-         False, "4a813567bcecae66e90de52c01cecdb935f574f7923fdfea823c6f31119ce4fb"),
+         False, "287dfce9a9c573f5333f1f465dc9704afbb4d5c1a1b6736e59db9df7469275bd"),
     ],
     ids=["c7-connected", "c5-trees", "c2-path13"],
 )
 def test_amcs_trace_digest_is_pinned(monkeypatch, cid, start, params, deep, digest):
     # Any change to the RNG stream or to the order of legal moves shows up
     # here: playouts of depth > 0 and prunes draw from the same generator.
-    # All three digests hold with and without sibling sharing.
     keys = []
     key = graphs.tree_key
-    for module in (graphs, conjectures):
-        monkeypatch.setattr(module, "tree_key", lambda g, ids: keys.append(g) or key(g, ids))
+    monkeypatch.setattr(graphs, "tree_key", lambda g, ids: keys.append(g) or key(g, ids))
     expansions = []
 
     def recording(g, space):
@@ -309,23 +297,16 @@ def test_amcs_trace_digest_is_pinned(monkeypatch, cid, start, params, deep, dige
             yield child
 
     monkeypatch.setattr(search, "children", recording)
-    scored = []
     rng = random.Random(params.seed)
-    result = amcs(start(rng), params, lambda g: scored.append(g) or score(cid, g).value,
-                  rng=rng)
+    result = amcs(start(rng), params, lambda g: score(cid, g).value, rng=rng)
     assert any(r.depth > 0 for r in result.trace) == deep
     text = "\n".join(cli._trace_lines(params.seed, result))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     if not params.trees_only:
         assert keys == []
         return
-    # At most one key per expansion (its orbits), one per sibling class
-    # (the classes are counted by the rooted-form oracle) and one per other
-    # graph scored: the initial one, pruned ones and playouts.
-    kids = {id(child) for children in expansions for child in children}
-    others = {id(g) for g in scored} - kids
-    classes = sum(len({rooted_form(c, c.n - 1) for c in children}) for children in expansions)
-    assert len(keys) <= len(expansions) + classes + len(others) < len(kids) + len(others)
+    # One key per expansion, for its orbits; nothing else is keyed.
+    assert len(keys) == len(expansions)
 
 
 @pytest.fixture
@@ -382,53 +363,9 @@ def test_amcs_walks_only_the_initial_graph_and_pruned_graphs(monkeypatch, walks,
     assert 1 <= len(walks) <= 1 + len(prune_steps)
 
 
-def test_amcs_opens_a_table_only_for_the_tree_search_it_runs():
-    tables = []
-
-    def spy(cid):
-        def score_fn(g: Graph) -> float:
-            table = TREE_TABLE.get()
-            tables.append((table, table and len(table[1])))
-            return score(cid, g).value
-        return score_fn
-
-    params = SearchParams(max_depth=2, max_level=1, trees_only=True, seed=3)
-    for _ in range(2):
-        tables.clear()
-        rng = random.Random(3)
-        amcs(random_tree(6, rng), params, spy(5), rng=rng)
-        assert TREE_TABLE.get() is None
-        # One table for the whole search, empty when it opens.
-        assert tables[0][0] is not None and tables[0][1] == 0
-        assert all(table is tables[0][0] for table, _ in tables)
-    tables.clear()
-    rng = random.Random(3)
-    amcs(random_tree(6, rng), SearchParams(max_depth=2, max_level=1, seed=3), spy(9), rng=rng)
-    assert tables and all(table is None for table, _ in tables)
-
-
-def test_amcs_closes_its_table_when_the_score_function_raises():
-    class Stop(Exception):
-        pass
-
-    calls = []
-
-    def capped(g: Graph) -> float:
-        if len(calls) == 40:
-            raise Stop
-        calls.append(TREE_TABLE.get())
-        return score(5, g).value
-
-    rng = random.Random(2)
-    with pytest.raises(Stop):
-        amcs(random_tree(5, rng), SearchParams(trees_only=True, seed=2), capped, rng=rng)
-    assert calls and all(table is not None for table in calls)
-    assert TREE_TABLE.get() is None
-
-
 def test_score_outside_a_search_computes_no_key(monkeypatch):
     keys = []
-    monkeypatch.setattr(conjectures, "tree_key", lambda g, ids: keys.append(g))
+    monkeypatch.setattr(graphs, "tree_key", lambda g, ids: keys.append(g))
     for cid, g in ((5, random_tree(9, random.Random(1))), (2, path(13)), (4, star(6))):
         score(cid, g)
         score(cid, g, polish=True)
