@@ -294,10 +294,6 @@ def cmd_family(args) -> int:
     try:
         spec = get_family(args.name)
         params = _parse_param_range(args.params)
-        if params[0] < spec.min_param:
-            raise FamilyError(
-                f"{spec.name} requires parameter >= {spec.min_param}"
-            )
         members = [(p, build_family(args.name, p)) for p in params]
     except FamilyError as exc:
         print(f"graphrefute: {exc}", file=sys.stderr)

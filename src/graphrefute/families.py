@@ -12,10 +12,11 @@ Three tree families generalize isolated counterexamples into infinite ones:
   middle vertex. Order 2b + 1. Violates the spectral-radius-independence
   bound for b >= 9 and the Randic-independence bound for b >= 5.
 
-``closed_form`` returns the proven expression for an invariant or score on
-a family, exactly (Fraction/int) for rational quantities and as a float for
-algebraic ones. ``verify_family`` recomputes everything from scratch and
-reports any mismatch.
+Each family declares its closed forms once, in ``FAMILIES``: a quantity
+maps to the least parameter its form is proven from and the form itself,
+exact (Fraction/int) for rational quantities and a float for algebraic
+ones. ``closed_form`` looks a form up; ``verify_family`` recomputes every
+declared quantity from scratch and reports any mismatch.
 """
 
 from __future__ import annotations
@@ -65,9 +66,19 @@ class FamilySpec:
     min_param: int
     order_formula: str
     build: Callable[[int], Graph]
-    quantities: tuple[str, ...]
+    # quantity -> (least parameter the form is proven from, form). A name
+    # ``s<id>`` is the score of conjecture id; any other is in _INVARIANTS.
+    quantities: dict[str, tuple[int, Callable[[int], object]]]
     conjecture_ids: tuple[int, ...]
 
+
+_INVARIANTS = {
+    "mM2": inv.modified_second_zagreb,
+    "gamma": inv.domination_number,
+    "lambda1": inv.lambda1,
+    "randic": inv.randic,
+    "alpha": inv.independence_number,
+}
 
 FAMILIES: dict[str, FamilySpec] = {
     "T1": FamilySpec(
@@ -76,7 +87,10 @@ FAMILIES: dict[str, FamilySpec] = {
         1,
         "5k",
         _build_t1,
-        ("mM2", "s5"),
+        {
+            "mM2": (3, lambda k: Fraction(21 * k, 16) + Fraction(7, 48)),
+            "s5": (3, lambda k: Fraction(3 * k - 5, 48)),
+        },
         (5,),
     ),
     "T2": FamilySpec(
@@ -85,16 +99,29 @@ FAMILIES: dict[str, FamilySpec] = {
         1,
         "4k",
         _build_t2,
-        ("mM2", "gamma", "s6"),
+        {
+            "gamma": (1, lambda k: 2 * k),
+            "mM2": (3, lambda k: Fraction(15 * k, 16) + Fraction(11, 48)),
+            "s6": (3, lambda k: Fraction(k, 16) + Fraction(1, 4 * k) - Fraction(11, 48)),
+        },
         (6,),
     ),
+    # The alpha, s9 and s10 forms are proven for b >= 2 only, yet declared
+    # from b = 1, so that ``verify_family`` reports their mismatch there:
+    # T(2,1) is the path P3, whose alpha is 2, not 2b - 1.
     "T2B": FamilySpec(
         "T2B",
         "two stars of order b, centers joined to a middle vertex",
         1,
         "2b+1",
         _build_t2b,
-        ("lambda1", "randic", "alpha", "s9", "s10"),
+        {
+            "lambda1": (1, lambda b: math.sqrt(b + 1)),
+            "randic": (1, lambda b: (2 * b - 2 + math.sqrt(2)) / math.sqrt(b)),
+            "alpha": (1, lambda b: 2 * b - 1),
+            "s9": (1, lambda b: math.sqrt(2 * b) - math.sqrt(b + 1) - 1),
+            "s10": (1, lambda b: (2 - math.sqrt(2)) * (math.sqrt(b) - 1 / math.sqrt(b)) - 1),
+        },
         (9, 10),
     ),
 }
@@ -121,42 +148,17 @@ def closed_form(name: str, quantity: str, p: int):
     """Proven value of an invariant or score on a family member.
 
     Rational quantities come back exact (Fraction or int), algebraic ones
-    as floats. Raises FamilyError below the family's minimum parameter and
-    where the modified-Zagreb formulas do not apply (they require p >= 3;
-    smaller members are checked directly against their known values).
-    The T2B alpha, s9 and s10 forms are proven for b >= 2 only, yet are
-    returned at b = 1 as well, so that ``verify_family`` reports their
-    mismatch there: T(2,1) is the path P3, whose alpha is 2, not 2b - 1.
+    as floats. Raises FamilyError for a quantity the family does not
+    declare, and below the parameter its form is proven from (members
+    below it are checked directly against their known values).
     """
     spec = get_family(name)
     if quantity not in spec.quantities:
         raise FamilyError(f"family {name} has no closed form for {quantity!r}")
-    if p < spec.min_param:
-        raise FamilyError(f"{name} requires parameter >= {spec.min_param}, got {p}")
-    if name == "T1":
-        if quantity in ("mM2", "s5") and p < 3:
-            raise FamilyError(f"T1 closed form for {quantity} requires k >= 3")
-        if quantity == "mM2":
-            return Fraction(21 * p, 16) + Fraction(7, 48)
-        return Fraction(3 * p - 5, 48)  # s5
-    if name == "T2":
-        if quantity in ("mM2", "s6") and p < 3:
-            raise FamilyError(f"T2 closed form for {quantity} requires k >= 3")
-        if quantity == "mM2":
-            return Fraction(15 * p, 16) + Fraction(11, 48)
-        if quantity == "gamma":
-            return 2 * p
-        return Fraction(p, 16) + Fraction(1, 4 * p) - Fraction(11, 48)  # s6
-    # T2B
-    if quantity == "lambda1":
-        return math.sqrt(p + 1)
-    if quantity == "randic":
-        return (2 * p - 2 + math.sqrt(2)) / math.sqrt(p)
-    if quantity == "alpha":
-        return 2 * p - 1
-    if quantity == "s9":
-        return math.sqrt(2 * p) - math.sqrt(p + 1) - 1
-    return (2 - math.sqrt(2)) * (math.sqrt(p) - 1 / math.sqrt(p)) - 1  # s10
+    floor, form = spec.quantities[quantity]
+    if p < floor:
+        raise FamilyError(f"{name} closed form for {quantity} requires parameter >= {floor}, got {p}")
+    return form(p)
 
 
 # Known exact scores of the members below the closed-form domain.
@@ -204,15 +206,6 @@ class FamilyReport:
         return out
 
 
-def _check_exact(report: FamilyReport, quantity: str, p: int, expected, computed) -> None:
-    report.checks.append(FamilyCheck(quantity, p, expected, computed, expected == computed))
-
-
-def _check_close(report: FamilyReport, quantity: str, p: int, expected: float, computed: float) -> None:
-    ok = abs(expected - computed) <= _FLOAT_TOL
-    report.checks.append(FamilyCheck(quantity, p, expected, computed, ok))
-
-
 def _check_monotone(report: FamilyReport, quantity: str, pairs: list[tuple[int, float]]) -> None:
     """Require strict growth of the score beyond its first positive member."""
     positive = [(p, v) for p, v in pairs if v > 0]
@@ -232,53 +225,26 @@ def verify_family(name: str, params: list[int]) -> FamilyReport:
     params = sorted(set(params))
     if not params:
         raise FamilyError("verify_family needs at least one parameter")
-    if params[0] < spec.min_param:
-        raise FamilyError(f"{name} requires parameter >= {spec.min_param}")
-    s5_values: list[tuple[int, float]] = []
-    s6_values: list[tuple[int, float]] = []
-    s9_values: list[tuple[int, float]] = []
-    s10_values: list[tuple[int, float]] = []
+    scores = {f"s{cid}": (cid, []) for cid in spec.conjecture_ids}
     for p in params:
         g = build_family(name, p)
-        if name == "T1":
-            mz = inv.modified_second_zagreb(g)
-            s5 = score(5, g).exact
-            s5_values.append((p, float(s5)))
-            if p >= 3:
-                _check_exact(report, "mM2", p, closed_form(name, "mM2", p), mz)
-                _check_exact(report, "s5", p, closed_form(name, "s5", p), s5)
-            elif p == 2:
-                _check_exact(report, "s5", p, _SMALL_MEMBER_SCORES["T1", "s5", 2], s5)
-        elif name == "T2":
-            _check_exact(report, "gamma", p, closed_form(name, "gamma", p),
-                         inv.domination_number(g))
-            mz = inv.modified_second_zagreb(g)
-            s6 = score(6, g).exact
-            s6_values.append((p, float(s6)))
-            if p >= 3:
-                _check_exact(report, "mM2", p, closed_form(name, "mM2", p), mz)
-                _check_exact(report, "s6", p, closed_form(name, "s6", p), s6)
-            elif p == 2:
-                _check_exact(report, "s6", p, _SMALL_MEMBER_SCORES["T2", "s6", 2], s6)
-        else:
-            _check_close(report, "lambda1", p, closed_form(name, "lambda1", p),
-                         inv.lambda1(g))
-            _check_close(report, "randic", p, closed_form(name, "randic", p),
-                         inv.randic(g))
-            _check_exact(report, "alpha", p, closed_form(name, "alpha", p),
-                         inv.independence_number(g))
-            if g.n >= 3:
-                s9 = score(9, g).value
-                s10 = score(10, g).value
-                _check_close(report, "s9", p, closed_form(name, "s9", p), s9)
-                _check_close(report, "s10", p, closed_form(name, "s10", p), s10)
-                s9_values.append((p, s9))
-                s10_values.append((p, s10))
-    if name == "T1" and len(s5_values) > 1:
-        _check_monotone(report, "s5", s5_values)
-    if name == "T2" and len(s6_values) > 1:
-        _check_monotone(report, "s6", s6_values)
-    if name == "T2B" and len(s9_values) > 1:
-        _check_monotone(report, "s9", s9_values)
-        _check_monotone(report, "s10", s10_values)
+        for quantity, (floor, form) in spec.quantities.items():
+            expected = form(p) if p >= floor else _SMALL_MEMBER_SCORES.get((name, quantity, p))
+            if quantity in scores:
+                cid, pairs = scores[quantity]
+                s = score(cid, g)
+                computed = s.value if s.exact is None else s.exact
+                pairs.append((p, float(computed)))
+            elif expected is not None:
+                computed = _INVARIANTS[quantity](g)
+            if expected is None:
+                continue
+            if isinstance(expected, float):
+                ok = abs(expected - computed) <= _FLOAT_TOL
+            else:
+                ok = expected == computed
+            report.checks.append(FamilyCheck(quantity, p, expected, computed, ok))
+    for quantity, (_, pairs) in scores.items():
+        if len(pairs) > 1:
+            _check_monotone(report, quantity, pairs)
     return report

@@ -388,24 +388,17 @@ def _twin_classes(g: Graph, moves: list[Move]) -> list[tuple]:
     return out
 
 
-def _relabel_without(edges: Iterable[tuple[int, int]], gone: int) -> list[tuple[int, int]]:
-    """Shift labels above the removed vertex down by one."""
-    out = []
-    for u, v in edges:
-        uu = u - (u > gone)
-        vv = v - (v > gone)
-        out.append((uu, vv))
-    return out
-
-
 def apply_move(g: Graph, move: Move) -> Graph:
     """Apply a move to g, validating its preconditions.
 
-    Forward moves patch a copy of g's adjacency. Their new vertex n is the
-    largest label, so appending it keeps each neighbour tuple sorted. They
-    keep a connected graph connected, so a child of a graph known to be
-    connected is known to be too; add-edge may join a disconnected graph, so
-    any other child starts unknown.
+    Every move patches a copy of g's adjacency. A forward move's new vertex
+    n is the largest label, so appending it keeps each neighbour tuple
+    sorted. Forward moves keep a connected graph connected, so a child of a
+    graph known to be connected is known to be too; add-edge may join a
+    disconnected graph, so any other child starts unknown. A backward move
+    drops its vertex and shifts the labels above it down, which keeps the
+    order; it never changes the number of components, so its result knows
+    what g knows.
     """
     k = move.kind
     n, adj = g.n, list(g._adj)
@@ -421,7 +414,8 @@ def apply_move(g: Graph, move: Move) -> Graph:
         if not (0 <= u < n and 0 <= v < n) or not g.has_edge(u, v):
             raise InvalidMoveError(f"subdivide needs an existing edge, got ({u}, {v})")
         for a, b in ((u, v), (v, u)):
-            adj[a] = tuple(x for x in adj[a] if x != b) + (n,)
+            i = bisect_left(adj[a], b)
+            adj[a] = adj[a][:i] + adj[a][i + 1:] + (n,)
         adj.append((min(u, v), max(u, v)))
         return Graph._trusted(tuple(adj), g.m + 1, g._connected or None)
     if k is MoveKind.ADD_EDGE:
@@ -433,24 +427,22 @@ def apply_move(g: Graph, move: Move) -> Graph:
             adj[a] = adj[a][:i] + (b,) + adj[a][i:]
         return Graph._trusted(tuple(adj), g.m + 1, g._connected or None)
     if k is MoveKind.REMOVE_LEAF:
-        v = move.u
-        if not (0 <= v < g.n) or g.degree(v) != 1:
-            raise InvalidMoveError(f"remove-leaf needs a degree-1 vertex, got {v}")
-        if g.n == 1:
-            raise InvalidMoveError("cannot remove the last vertex")
-        edges = [e for e in g.edges() if v not in e]
-        return Graph(g.n - 1, _relabel_without(edges, v))
-    if k is MoveKind.SMOOTH:
-        w = move.u
-        if not (0 <= w < g.n) or g.degree(w) != 2:
-            raise InvalidMoveError(f"smooth needs a degree-2 vertex, got {w}")
-        a, b = g.neighbors(w)
+        gone = move.u
+        if not (0 <= gone < n) or g.degree(gone) != 1:
+            raise InvalidMoveError(f"remove-leaf needs a degree-1 vertex, got {gone}")
+    elif k is MoveKind.SMOOTH:
+        gone = move.u
+        if not (0 <= gone < n) or g.degree(gone) != 2:
+            raise InvalidMoveError(f"smooth needs a degree-2 vertex, got {gone}")
+        a, b = adj[gone]
         if g.has_edge(a, b):
-            raise InvalidMoveError(f"smooth at {w} would create a parallel edge")
-        edges = [e for e in g.edges() if w not in e]
-        edges.append((a, b))
-        return Graph(g.n - 1, _relabel_without(edges, w))
-    raise InvalidMoveError(f"unknown move kind {k!r}")
+            raise InvalidMoveError(f"smooth at {gone} would create a parallel edge")
+        adj[a], adj[b] = tuple(sorted(adj[a] + (b,))), tuple(sorted(adj[b] + (a,)))
+    else:
+        raise InvalidMoveError(f"unknown move kind {k!r}")
+    del adj[gone]
+    adj = tuple(tuple(x - (x > gone) for x in row if x != gone) for row in adj)
+    return Graph._trusted(adj, g.m - 1, g._connected)
 
 
 def removable_vertices(g: Graph) -> list[Move]:

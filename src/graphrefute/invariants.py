@@ -406,9 +406,11 @@ def independence_number(g: Graph) -> int:
     Vertices of degree <= 1 in the residual graph are taken greedily (always
     safe), so trees and tree-like graphs never branch. Branching picks a
     maximum-degree vertex v and tries each member of N[v]; every maximum
-    independent set contains at least one of them.
+    independent set contains at least one of them. The size guard warns only
+    off trees.
     """
-    _check_size_guard("independence_number", g.n)
+    if not g.is_tree():
+        _check_size_guard("independence_number", g.n)
     n = g.n
     nbr = [0] * n
     for u, v in g.edges():

@@ -48,10 +48,6 @@ from graphrefute.invariants import (
 )
 from graphrefute.search import SearchParams, amcs
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::graphrefute.invariants.PerformanceWarning"
-)
-
 
 def test_criterion_1_fixture_scores():
     big_star = star_with_two_tails(191, 7, 5)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -124,3 +125,27 @@ def test_verify_family_rejects_bad_params():
         verify_family("T1", [])
     with pytest.raises(FamilyError):
         verify_family("T1", [0, 3])
+
+
+def test_family_outputs_are_pinned():
+    # Every report line of the three sweeps, and closed_form on a grid of
+    # families, quantities and parameters (in and out of each domain).
+    lines = []
+    for name, params in (("T1", range(1, 51)), ("T2", range(1, 51)), ("T2B", range(1, 61))):
+        lines += verify_family(name, list(params)).lines()
+    assert len(lines) == 551
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "c9d09ac39cff1e8ec698025f4f04be2c0b8a70c6463981acee7f2722071aaa0d"
+    )
+    grid = []
+    for name in FAMILIES:
+        for q in ("mM2", "s5", "gamma", "s6", "lambda1", "randic", "alpha", "s9", "s10"):
+            for p in (0, 1, 2, 3, 4, 9):
+                try:
+                    grid.append(f"{name} {q} {p} {closed_form(name, q, p)!r}")
+                except FamilyError:
+                    grid.append(f"{name} {q} {p} FamilyError")
+    assert len(grid) == 162
+    assert hashlib.sha256("\n".join(grid).encode()).hexdigest() == (
+        "92a4286c229d7040422605611186b78208f24b5038ef2f2b73a0308917c10d4c"
+    )

@@ -256,6 +256,36 @@ def test_forward_moves_match_a_validated_rebuild():
                 child.n = 3
 
 
+def test_backward_moves_match_a_validated_rebuild():
+    # Trees with random chords, half of them cut by one edge, with
+    # connectivity known or unknown. The reference drops the vertex from the
+    # edge list, joins a smoothed vertex's neighbours, and relabels through
+    # the validating constructor.
+    rng = random.Random(29)
+    moves = 0
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        edges = list(random_connected_graph(n, rng, rng.random() / 2).edges())
+        if edges and rng.random() < 0.5:
+            edges.remove(rng.choice(edges))
+        g = Graph(n, edges)
+        if rng.random() < 0.5:
+            g.is_connected()
+        for move in removable_vertices(g):
+            gone = move.u
+            kept = [e for e in g.edges() if gone not in e]
+            if move.kind is MoveKind.SMOOTH:
+                kept.append(g.neighbors(gone))
+            want = Graph(n - 1, [(u - (u > gone), v - (v > gone)) for u, v in kept])
+            got = apply_move(g, move)
+            assert (got.n, got.m, got._adj) == (want.n, want.m, want._adj)
+            assert got._connected == g._connected
+            if got._connected is not None:
+                assert want.is_connected() is got._connected
+            moves += 1
+    assert moves > 5000
+
+
 def test_forward_children_of_a_connected_graph_know_they_are_connected():
     rng = random.Random(17)
     for n in range(1, 11):
@@ -267,9 +297,9 @@ def test_forward_children_of_a_connected_graph_know_they_are_connected():
                 child = apply_move(g, move)
                 assert child._connected is True
                 assert rebuilt(child).is_connected()
-            # Backward moves rebuild through Graph(...), which knows nothing.
+            # Backward moves never change the number of components.
             for move in removable_vertices(g):
-                assert apply_move(g, move)._connected is None
+                assert apply_move(g, move)._connected == g._connected
     assert decode_graph6(encode_graph6(path(4)))._connected is None
 
 

@@ -296,12 +296,14 @@ def test_matching_counts_oracle_small():
 
 
 def test_size_guard_warns():
-    # Only the exponential solvers warn: independence, and domination off trees.
+    # Only the exponential solvers warn, and only off trees: on a tree
+    # neither one branches.
     with pytest.warns(PerformanceWarning):
-        independence_number(path(65))
+        independence_number(cycle(65))
     with pytest.warns(PerformanceWarning):
         domination_number(cycle(65))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         matching_number(path(65))
+        independence_number(path(65))
         domination_number(path(65))
