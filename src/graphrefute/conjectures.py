@@ -222,42 +222,68 @@ def check_hypotheses(conjecture_id: int, g: Graph) -> list[str]:
 class _Arithmetic:
     """The numbers a score formula is evaluated in.
 
-    ``spectrum(matrix, descending)`` returns the eigenvalues of a symmetric
-    integer matrix, and ``num`` turns an int or Fraction into a number of
-    this arithmetic. Each score formula is written once against these.
+    ``matrix(g, build)`` is g's float matrix from a builder such as
+    `all_pairs_distances`, ``spectrum(g, build, descending)`` its eigenvalues,
+    and ``num`` turns an int or Fraction into a number of this arithmetic.
+    Each score formula is written once against these. Its copy ``over(chunk)``
+    serves graphs of one order from one stack each; others are chunks of one.
     """
 
-    def __init__(self, spectrum, sqrt, cos, pi, fsum, num):
-        self.spectrum, self.sqrt, self.cos = spectrum, sqrt, cos
+    def __init__(self, solve, sqrt, cos, pi, fsum, num, chunk=()):
+        self.solve, self.sqrt, self.cos = solve, sqrt, cos
         self.pi, self.fsum, self.num = pi, fsum, num
+        self.chunk, self._done, self._at = chunk, {}, {id(g): i for i, g in enumerate(chunk)}
+
+    def over(self, chunk: list[Graph]) -> _Arithmetic:
+        return _Arithmetic(self.solve, self.sqrt, self.cos, self.pi, self.fsum, self.num, chunk)
+
+    def matrix(self, g: Graph, build):
+        i = self._at.get(id(g))
+        if i is None:
+            return self.over([g]).matrix(g, build)
+        if build not in self._done:
+            self._done[build] = build(self.chunk)
+        return self._done[build][i]
+
+    def spectrum(self, g: Graph, build, descending: bool) -> inv.Spectrum:
+        i = self._at.get(id(g))
+        if i is None:
+            return self.over([g]).spectrum(g, build, descending)
+        if (build, descending) not in self._done:
+            self.matrix(g, build)
+            self._done[build, descending] = self.solve(self._done[build], descending)
+        sp = self._done[build, descending][i]
+        if isinstance(sp, inv.NumericError):
+            raise sp
+        return sp
 
 
 def _floats(polish: bool) -> _Arithmetic:
-    def spectrum(m, descending: bool) -> inv.Spectrum:
-        return inv.symmetric_spectrum(m, descending=descending, polish=polish)
+    def solve(stack, descending: bool) -> list:
+        return inv.symmetric_spectrum(stack, descending=descending, polish=polish)
 
-    return _Arithmetic(spectrum, math.sqrt, math.cos, math.pi, math.fsum, float)
+    return _Arithmetic(solve, math.sqrt, math.cos, math.pi, math.fsum, float)
 
 
-def _mp_spectrum(m, descending: bool) -> inv.Spectrum:
-    e = mp.eigsy(mp.matrix(m.tolist()), eigvals_only=True)
-    values = sorted((e[i] for i in range(e.rows)), reverse=descending)
-    # No bound of its own: verify_strict reads only the value, against its
-    # zero band.
-    return inv.Spectrum(tuple(values), 0.0)
+def _mp_solve(stack, descending: bool) -> list[inv.Spectrum]:
+    # No bound of its own: verify_strict reads only the value, against its zero band.
+    return [inv.Spectrum(tuple(sorted(mp.eigsy(mp.matrix(m.tolist()), eigvals_only=True),
+                                      reverse=descending)), 0.0) for m in stack]
 
 
 _FAST = _floats(polish=False)
 _POLISHED = _floats(polish=True)
 # Evaluate inside mp.workdps(_MP_DPS).
 _DIGITS60 = _Arithmetic(
-    _mp_spectrum, mp.sqrt, mp.cos, mp.pi, mp.fsum,
+    _mp_solve, mp.sqrt, mp.cos, mp.pi, mp.fsum,
     lambda q: mp.mpf(q.numerator) / q.denominator,
 )
+# Matrix elements per stack in a `score` chunk, 256 KiB of float64 at most.
+_CHUNK_ELEMENTS = 1 << 15
 
 
 def _score_1(g: Graph, ar: _Arithmetic) -> Score:
-    sp = ar.spectrum(inv.adjacency_matrix(g), descending=True)
+    sp = ar.spectrum(g, inv.adjacency_matrix, descending=True)
     lam = sp.values[0]
     mu = inv.matching_number(g)
     root = ar.sqrt(g.n - 1)
@@ -269,13 +295,13 @@ def _score_1(g: Graph, ar: _Arithmetic) -> Score:
 
 
 def _score_2(g: Graph, ar: _Arithmetic) -> Score:
-    dist = all_pairs_distances(g)
+    dist = ar.matrix(g, all_pairs_distances)
     diam = int(dist.max())
     k = (2 * diam) // 3
     if k < 1:
         return _undefined("floor(2*diameter/3) < 1")
-    prox = inv.proximity_from_distances(dist)
-    sp = ar.spectrum(dist, descending=True)
+    prox = inv.proximity(dist)
+    sp = ar.spectrum(g, all_pairs_distances, descending=True)
     partial = sp.values[k - 1]
     value = -ar.num(prox) - partial
     err = sp.residual_bound + _slop(ar.num(prox), partial)
@@ -297,7 +323,7 @@ def _score_3(g: Graph, ar: _Arithmetic) -> Score:
 def _score_4(g: Graph, ar: _Arithmetic) -> Score:
     if g.n < 2:
         return _undefined("lambda_2 needs at least 2 vertices")
-    sp = ar.spectrum(inv.adjacency_matrix(g), descending=True)
+    sp = ar.spectrum(g, inv.adjacency_matrix, descending=True)
     lam2 = sp.values[1]
     h = inv.harmonic(g)
     value = lam2 - ar.num(h)
@@ -327,9 +353,9 @@ def _score_6(g: Graph, ar: _Arithmetic) -> Score:
 
 
 def _score_7(g: Graph, ar: _Arithmetic) -> Score:
-    sp = ar.spectrum(inv.adjacency_matrix(g), descending=True)
+    sp = ar.spectrum(g, inv.adjacency_matrix, descending=True)
     lam = sp.values[0]
-    prox = inv.proximity(g)
+    prox = inv.proximity(ar.matrix(g, all_pairs_distances))
     value = lam * ar.num(prox) - g.n + 1
     err = sp.residual_bound * ar.num(prox) + _slop(lam * ar.num(prox), g.n)
     return Score(value, None, err, {
@@ -345,9 +371,9 @@ def _cosine_bound(n: int, ar: _Arithmetic):
 
 
 def _score_8(g: Graph, ar: _Arithmetic) -> Score:
-    sp = ar.spectrum(inv.laplacian_matrix(g), descending=False)
+    sp = ar.spectrum(g, inv.laplacian_matrix, descending=False)
     a = sp.values[1]
-    prox = inv.proximity(g)
+    prox = inv.proximity(ar.matrix(g, all_pairs_distances))
     bound = _cosine_bound(g.n, ar)
     value = bound - a * ar.num(prox)
     err = sp.residual_bound * ar.num(prox) + _slop(bound, a * ar.num(prox))
@@ -358,7 +384,7 @@ def _score_8(g: Graph, ar: _Arithmetic) -> Score:
 
 
 def _score_9(g: Graph, ar: _Arithmetic) -> Score:
-    sp = ar.spectrum(inv.adjacency_matrix(g), descending=True)
+    sp = ar.spectrum(g, inv.adjacency_matrix, descending=True)
     lam = sp.values[0]
     alpha = inv.independence_number(g)
     root = ar.sqrt(g.n - 1)
@@ -403,6 +429,12 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
     A child that graphs.children put in the class of an earlier, isomorphic
     sibling reads that sibling's memo when its own is empty. A spectral
     value so shared may differ from its own labelling's in the last bits.
+
+    The first call on any class representative of an expansion scores all
+    of them (the brood) that meet the hypotheses, in chunks of one order and
+    at most _CHUNK_ELEMENTS matrix elements, each with one stack, distance
+    sweep and eigvalsh; any other graph is a brood of one. A member that
+    raises gets no memo: it raises at its own call, and at every later one.
     """
     memo = g._score or g._sibling and g._sibling._score
     if not polish and memo and memo[0] == conjecture_id:
@@ -413,17 +445,33 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
             f"conjecture {conjecture_id}: " + "; ".join(spec_violations)
         )
     if polish:
-        return _SCORERS[conjecture_id](g, _POLISHED)
-    sc = _SCORERS[conjecture_id](g, _FAST)
-    object.__setattr__(g, "_score", (conjecture_id, sc))
-    return sc
+        return _SCORERS[conjecture_id](g, _POLISHED.over([g]))
+    # This call clears the list on every member, so none has a memo yet.
+    groups: dict[int, list[Graph]] = {g.n: [g]}
+    for b in g._brood or ():
+        object.__setattr__(b, "_brood", None)
+        if b is not g and not check_hypotheses(conjecture_id, b):
+            groups.setdefault(b.n, []).append(b)
+    scorer, failure = _SCORERS[conjecture_id], None
+    for n, group in groups.items():
+        size = max(1, _CHUNK_ELEMENTS // (n * n))
+        for start in range(0, len(group), size):
+            ar = _FAST.over(group[start:start + size])
+            for b in ar.chunk:
+                try:
+                    object.__setattr__(b, "_score", (conjecture_id, scorer(b, ar)))
+                except Exception as exc:  # b raises it again at its own call
+                    failure = exc if b is g else failure
+    if failure is not None:
+        raise failure
+    return g._score[1]
 
 
 def is_counterexample(conjecture_id: int, g: Graph, tau: float = 1e-9) -> bool:
     """True when g meets the hypotheses and scores strictly above tau."""
     if check_hypotheses(conjecture_id, g):
         return False
-    return _SCORERS[conjecture_id](g, _FAST).value > tau
+    return _SCORERS[conjecture_id](g, _FAST.over([g])).value > tau
 
 
 # -- strict verification -------------------------------------------------------
@@ -441,7 +489,7 @@ def verify_strict(conjecture_id: int, g: Graph) -> Verdict:
     """
     if check_hypotheses(conjecture_id, g):
         return Verdict.REJECTED
-    sc = _SCORERS[conjecture_id](g, _POLISHED)
+    sc = _SCORERS[conjecture_id](g, _POLISHED.over([g]))
     if sc.value == NEG_INF:
         return Verdict.REJECTED
     if sc.exact is not None:
@@ -454,7 +502,7 @@ def verify_strict(conjecture_id: int, g: Graph) -> Verdict:
     if g.n > MP_MAX_ORDER:
         return Verdict.UNCERTAIN
     with mp.workdps(_MP_DPS):
-        refined = _SCORERS[conjecture_id](g, _DIGITS60).value
+        refined = _SCORERS[conjecture_id](g, _DIGITS60.over([g])).value
     # Anything within 10^-45 of zero is treated as exactly zero, which a
     # counterexample must strictly exceed.
     zero_band = mp.mpf(10) ** -45

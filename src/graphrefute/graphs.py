@@ -83,8 +83,9 @@ class Graph:
     # _connected memoises is_connected: None until known, then True or False.
     # _sibling is None, or the first child of the class of moves that
     # `children` put this graph in, which is isomorphic to it: `score` may
-    # share its memo. Equality, hashing and the immutability guard ignore it.
-    __slots__ = ("n", "m", "_adj", "_score", "_connected", "_sibling")
+    # share its memo. _brood, on each first child, lists all first children for
+    # `score` to evaluate at once. Equality, hashing and the guard ignore all four.
+    __slots__ = ("n", "m", "_adj", "_score", "_connected", "_sibling", "_brood")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -107,6 +108,7 @@ class Graph:
         object.__setattr__(self, "_score", None)
         object.__setattr__(self, "_connected", None)
         object.__setattr__(self, "_sibling", None)
+        object.__setattr__(self, "_brood", None)
 
     @classmethod
     def _trusted(cls, adj: tuple[tuple[int, ...], ...], m: int, connected: bool | None) -> "Graph":
@@ -119,6 +121,7 @@ class Graph:
         object.__setattr__(g, "_score", None)
         object.__setattr__(g, "_connected", connected)
         object.__setattr__(g, "_sibling", None)
+        object.__setattr__(g, "_brood", None)
         return g
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -300,24 +303,28 @@ def legal_moves(g: Graph, space: SearchSpace) -> list[Move]:
     return moves
 
 
-def children(g: Graph, space: SearchSpace) -> Iterator[Graph]:
-    """Yield the child of each of `legal_moves`, in its order.
+def children(g: Graph, space: SearchSpace) -> list[Graph]:
+    """The child of each of `legal_moves`, in its order.
 
     Moves of one class give isomorphic children, and each child after the
     first of its class refers to that first sibling in ``_sibling``. In tree
     space the classes are the children's isomorphism classes
     (`_tree_classes`); otherwise they come from twin vertices
-    (`_twin_classes`).
+    (`_twin_classes`). Each first child holds the list of all first children
+    in ``_brood``, so that `conjectures.score` evaluates them in one batch.
     """
     moves = legal_moves(g, space)
     classes = _tree_classes(g) if space is SearchSpace.TREES else _twin_classes(g, moves)
+    out = [apply_move(g, move) for move in moves]
     first: dict = {}
-    for move, cls in zip(moves, classes):
-        child = apply_move(g, move)
+    for child, cls in zip(out, classes):
         rep = first.setdefault(cls, child)
         if rep is not child:
             object.__setattr__(child, "_sibling", rep)
-        yield child
+    brood = list(first.values())
+    for rep in brood:
+        object.__setattr__(rep, "_brood", brood)
+    return out
 
 
 def _tree_classes(g: Graph) -> list[tuple[int, int]]:
@@ -557,51 +564,60 @@ def tree_key(g: Graph, ids: dict) -> tuple[tuple[int, ...], list[int], list[int]
 # -- distances ---------------------------------------------------------------
 
 
-def all_pairs_distances(g: Graph) -> np.ndarray:
-    """Return the n x n integer distance matrix of a connected graph."""
-    n = g.n
-    if g.m == n - 1:
-        return _tree_distances(g)
-    # Level-synchronous BFS from all sources at once: at level d, reach marks
-    # the pairs within d steps. A pair is marked at every level from its
-    # distance on, so its distance is the level count minus its marks.
-    step = np.zeros((n, n), dtype=np.float32)
-    step.put([u * n + v for u, nbrs in enumerate(g._adj) for v in (u, *nbrs)], 1)
-    reach = np.eye(n, dtype=np.float32)
-    marks = np.zeros((n, n), dtype=np.float32)
-    for levels in range(n):
-        if np.count_nonzero(reach) == n * n:
-            return (levels - marks).astype(np.int64)
-        marks += reach
-        reach = np.minimum(reach @ step, 1)
-    raise GraphError("distance matrix requires a connected graph")
+def all_pairs_distances(g: Graph | list[Graph]) -> np.ndarray:
+    """int64 distances of a connected graph; a float64 (k, n, n) stack for a list of one order."""
+    graphs = [g] if isinstance(g, Graph) else g
+    k, n = len(graphs), graphs[0].n
+    if all(h.m == n - 1 for h in graphs):
+        dist = _tree_distances(graphs)
+    else:
+        # Level-synchronous BFS from all sources at once: at level d, reach
+        # marks the pairs within d steps. A pair is marked at every level from
+        # its distance on, so its distance is the level count minus its marks,
+        # also in a graph done before the others: each extra level marks all.
+        step = np.zeros((k, n, n), dtype=np.float32)
+        step.put([(i * n + u) * n + v for i, h in enumerate(graphs)
+                  for u, nbrs in enumerate(h._adj) for v in (u, *nbrs)], 1)
+        reach = np.eye(n, dtype=np.float32)[None]  # broadcast over the stack
+        marks = np.zeros((k, n, n), dtype=np.float32)
+        for levels in range(n):
+            if np.count_nonzero(reach) == reach.size:
+                break
+            marks += reach
+            reach = np.minimum(reach @ step, 1)
+        else:
+            raise GraphError("distance matrix requires a connected graph")
+        dist = levels - marks
+    return dist[0].astype(np.int64) if isinstance(g, Graph) else dist.astype(np.float64)
 
 
-def _tree_distances(g: Graph) -> np.ndarray:
-    """Distances of a graph with n - 1 edges: a tree, or else disconnected.
+def _tree_distances(graphs: list[Graph]) -> np.ndarray:
+    """Distances of graphs with n - 1 edges: trees, or else disconnected.
 
     Row v of ``anc`` marks v and its ancestors in a DFS tree rooted at 0, so
     ``anc @ anc.T`` counts common ancestors, depth(lca) + 1, and the row sums
     are depth + 1. Then d(i, j) = depth_i + depth_j - 2 depth(lca). Float32
     holds these integers exactly.
     """
-    n = g.n
+    n = graphs[0].n
+    width = (n + 7) // 8
     # Rows start as int bitsets (v's is its parent's plus bit v) and are
     # unpacked once, zero-padded to whole bytes: cheaper than n numpy row
     # copies at the orders a search visits.
-    rows = [0] * n
-    rows[0] = 1
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in g._adj[u]:
-            if not rows[v]:
-                rows[v] = rows[u] | 1 << v
-                stack.append(v)
-    if not all(rows):
-        raise GraphError("distance matrix requires a connected graph")
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in rows]), np.uint8)
-    anc = np.unpackbits(packed, bitorder="little").reshape(n, 8 * width).astype(np.float32)
-    size = anc.sum(axis=1)
-    return (size[:, None] + size[None, :] - 2 * (anc @ anc.T)).astype(np.int64)
+    packed = []
+    for g in graphs:
+        rows = [1] + [0] * (n - 1)
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for v in g._adj[u]:
+                if not rows[v]:
+                    rows[v] = rows[u] | 1 << v
+                    stack.append(v)
+        if not all(rows):
+            raise GraphError("distance matrix requires a connected graph")
+        packed += [r.to_bytes(width, "little") for r in rows]
+    bits = np.unpackbits(np.frombuffer(b"".join(packed), np.uint8), bitorder="little")
+    anc = bits.reshape(len(graphs), n, 8 * width).astype(np.float32)
+    size = anc.sum(axis=2)
+    return size[:, :, None] + size[:, None, :] - 2 * (anc @ anc.transpose(0, 2, 1))

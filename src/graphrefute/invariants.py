@@ -56,18 +56,25 @@ def _check_size_guard(op: str, n: int) -> None:
 # -- matrices -----------------------------------------------------------------
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    n = g.n
-    a = np.zeros((n, n), dtype=np.int64)
+def adjacency_matrix(g: Graph | list[Graph]) -> np.ndarray:
+    """int64 adjacency matrix of a graph; a float64 (k, n, n) stack for a list of one order."""
+    graphs = [g] if isinstance(g, Graph) else g
+    n = graphs[0].n
+    a = np.zeros((len(graphs), n, n))
     # _adj lists both directions of every edge, so one fill sets both halves.
-    a.put([u * n + v for u, nbrs in enumerate(g._adj) for v in nbrs], 1)
-    return a
+    a.put([(i * n + u) * n + v for i, h in enumerate(graphs)
+           for u, nbrs in enumerate(h._adj) for v in nbrs], 1)
+    return a[0].astype(np.int64) if isinstance(g, Graph) else a
 
 
-def laplacian_matrix(g: Graph) -> np.ndarray:
-    """Return D - A with D the diagonal degree matrix."""
-    lap = -adjacency_matrix(g)
-    lap.flat[:: g.n + 1] = list(map(len, g._adj))
+def laplacian_matrix(g: Graph | list[Graph]) -> np.ndarray:
+    """D - A with D the diagonal degree matrix, typed as `adjacency_matrix`."""
+    graphs = [g] if isinstance(g, Graph) else g
+    n = graphs[0].n
+    # 0 - a, not -a: on floats -a stores -0.0, and LAPACK's Householder step
+    # takes the sign of a zero, so the spectrum would move in its last bits.
+    lap = 0 - adjacency_matrix(g)
+    lap.reshape(-1, n * n)[:, :: n + 1] = [list(map(len, h._adj)) for h in graphs]
     return lap
 
 
@@ -86,51 +93,64 @@ class Spectrum:
     residual_bound: float
 
 
-def symmetric_spectrum(m: np.ndarray, *, descending: bool, polish: bool = False) -> Spectrum:
+def symmetric_spectrum(m: np.ndarray, *, descending: bool, polish: bool = False):
     """Eigenvalues of a symmetric matrix with a certified error bound.
 
     The fast path uses an a-priori backward-stability bound. With ``polish``
     the residual matrix of the computed eigenpairs is measured explicitly,
     which gives a much tighter bound for verification.
+
+    ``m`` may also be a stack (k, n, n), which the fast path solves in one
+    LAPACK call. Each matrix keeps its own bound and gate: the result is a
+    list of each one's Spectrum, or of the NumericError it failed with.
     """
     a = np.asarray(m, dtype=np.float64)
-    n = a.shape[0]
-    # Frobenius norm. The sum of squares of an integer matrix is exact in
-    # any order, so this equals np.linalg.norm(a, "fro") bit for bit.
-    flat = a.ravel()
-    norm = math.sqrt(float(flat @ flat))
+    stack = a if a.ndim == 3 else a[None]
+    n = stack.shape[-1]
     try:
-        if polish:
-            vals, vecs = np.linalg.eigh(a)
-            resid = a @ vecs - vecs * vals
-            # Frobenius norms bound the 2-norms from above, and r / (1 - orth)
-            # grows with both, so the bound stays valid without two SVDs.
-            r = float(np.linalg.norm(resid))
-            orth = float(np.linalg.norm(vecs.T @ vecs - np.eye(n)))
-            if orth >= 0.5:
-                raise NumericError(
-                    f"eigenvector basis badly non-orthogonal ({orth:.3e})",
-                    residual=orth,
-                )
-            # Measured solve quality, gated against the target; the reported
-            # bound adds the rounding incurred while evaluating the residual
-            # itself (~ n*eps*norm), which grows with n and is not the
-            # solver's fault.
-            quality = r / (1.0 - orth)
-            bound = quality + 4.0 * n * _EPS * norm
-            target = _POLISH_RESIDUAL_TARGET
+        batch = [None] * len(stack) if polish else np.linalg.eigvalsh(stack).tolist()
+    except np.linalg.LinAlgError:  # it names no culprit: solve each alone below
+        batch = [None] * len(stack)
+    out = []
+    for x, vals in zip(stack, batch):
+        # Frobenius norm. The sum of squares of an integer matrix is exact in
+        # any order, so this equals np.linalg.norm(x, "fro") bit for bit.
+        norm = math.sqrt(np.vdot(x, x))
+        try:
+            if polish:
+                vals, vecs = np.linalg.eigh(x)
+                resid = x @ vecs - vecs * vals
+                # Frobenius norms bound the 2-norms from above, and r / (1 - orth)
+                # grows with both, so the bound stays valid without two SVDs.
+                r = math.sqrt(np.vdot(resid, resid))
+                gram = vecs.T @ vecs - np.eye(n)
+                orth = math.sqrt(np.vdot(gram, gram))
+                if orth >= 0.5:
+                    raise NumericError(f"eigenvector basis badly non-orthogonal ({orth:.3e})",
+                                       residual=orth)
+                # Measured solve quality, gated against the target; the reported
+                # bound adds the rounding incurred while evaluating the residual
+                # itself (~ n*eps*norm), which grows with n and is not the solver's fault.
+                quality = r / (1.0 - orth)
+                bound = quality + 4.0 * n * _EPS * norm
+                target = _POLISH_RESIDUAL_TARGET
+                vals = vals.tolist()
+            else:
+                vals = np.linalg.eigvalsh(x).tolist() if vals is None else vals
+                quality = bound = 10.0 * n * _EPS * norm
+                target = _FAST_RESIDUAL_TARGET
+            if quality > target * max(1.0, norm):
+                raise NumericError(f"eigenvalue residual {quality:.3e} above target",
+                                   residual=quality)
+        except np.linalg.LinAlgError as exc:
+            out.append(NumericError(f"eigensolver failed to converge: {exc}"))
+        except NumericError as exc:
+            out.append(exc)
         else:
-            vals = np.linalg.eigvalsh(a)
-            quality = bound = 10.0 * n * _EPS * norm
-            target = _FAST_RESIDUAL_TARGET
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    if quality > target * max(1.0, norm):
-        raise NumericError(
-            f"eigenvalue residual {quality:.3e} above target", residual=quality
-        )
-    ordered = vals[::-1] if descending else vals
-    return Spectrum(tuple(ordered.tolist()), bound)
+            out.append(Spectrum(tuple(vals[::-1] if descending else vals), bound))
+    if a.ndim == 2 and isinstance(out[0], NumericError):
+        raise out[0]
+    return out if a.ndim == 3 else out[0]
 
 
 def lambda1(g: Graph) -> float:
@@ -255,13 +275,9 @@ def peak_stats(t: Graph) -> PeakStats:
 # -- metric invariants --------------------------------------------------------
 
 
-def proximity(g: Graph) -> Fraction:
-    """Minimum average distance from a vertex to all others, exact."""
-    return proximity_from_distances(all_pairs_distances(g))
-
-
-def proximity_from_distances(dist: np.ndarray) -> Fraction:
-    """Proximity read off a distance matrix: its least row sum over n - 1."""
+def proximity(dist: np.ndarray) -> Fraction:
+    """Minimum average distance from a vertex to all others, exact, read off
+    a distance matrix: its least row sum over n - 1."""
     if len(dist) < 2:
         raise GraphError("proximity requires at least 2 vertices")
     return Fraction(int(dist.sum(axis=1).min()), len(dist) - 1)

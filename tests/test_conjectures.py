@@ -6,9 +6,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import clique_with_tail, star_with_two_tails, two_star_centers_joined
+from conftest import (
+    clique_with_tail,
+    random_connected_graph,
+    rebuilt,
+    star_with_two_tails,
+    two_star_centers_joined,
+)
 from graphrefute import conjectures
 from graphrefute.codec import decode_graph6
 from graphrefute.conjectures import (
@@ -26,6 +33,7 @@ from graphrefute.families import build_family
 from graphrefute.graphs import (
     Graph,
     SearchSpace,
+    children,
     complete,
     cycle,
     path,
@@ -248,3 +256,89 @@ def test_scored_graph_equals_and_hashes_like_a_copy():
     assert hash(g) == hash(copy)
     with pytest.raises(AttributeError):
         g.n = 3
+
+
+def _same_bits(a: conjectures.Score, b: conjectures.Score) -> bool:
+    """Field by field, through repr, which tells -0.0 from 0.0."""
+    fields = ("value", "exact", "spectral_error_bound", "parts")
+    return all(repr(getattr(a, f)) == repr(getattr(b, f)) for f in fields)
+
+
+@pytest.mark.parametrize("cid", sorted(REGISTRY))
+def test_expansion_memos_equal_single_evaluations_bit_for_bit(cid):
+    # The search scores an expansion's class representatives one by one.
+    # Whatever `score` does with the rest of the expansion at the first
+    # call, each representative's memo must be its own evaluation, bit for
+    # bit. c8 reads Laplacians, whose zeros LAPACK's Householder step sees
+    # the sign of; c2 runs on trees up to n = 70. c3's exact char-poly
+    # score stops at 13, where its Berkowitz runs still take milliseconds.
+    spec = get_conjecture(cid)
+    rng = random.Random(cid)
+    orders = [*range(3, 14 if cid == 3 else 26, 2), *([40, 70] if cid == 2 else [])]
+    for n in orders:
+        parents = [random_tree(n, rng)]
+        if spec.space is SearchSpace.CONNECTED:
+            parents.append(random_connected_graph(n, rng))
+        for parent in parents:
+            reps = [c for c in children(parent, spec.space) if c._sibling is None]
+            scored = []
+            for child in reps:
+                if not check_hypotheses(cid, child):
+                    scored.append((child, score(cid, child)))
+            assert scored
+            for child, sc in scored:
+                assert child._score == (cid, sc)
+                fresh = conjectures._SCORERS[cid](rebuilt(child), conjectures._FAST)
+                assert _same_bits(sc, fresh), (cid, n, sc, fresh)
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["healthy-first", "raising-first"])
+def test_a_failing_brood_member_raises_only_at_its_own_call(monkeypatch, first):
+    # path(3)'s connected-space representatives: P4 from a leaf, the star
+    # K1,3, P4 from a subdivision and the triangle, which is no tree. The
+    # star's scorer raises and the triangle fails c5's hypotheses.
+    reps = [c for c in children(path(3), SearchSpace.CONNECTED) if c._sibling is None]
+    assert [(c.n, c.m) for c in reps] == [(4, 3), (4, 3), (4, 3), (3, 3)]
+    star_child, triangle = reps[1], reps[3]
+    scorer = conjectures._SCORERS[5]
+
+    def failing(g, ar):
+        if g is star_child:
+            raise ArithmeticError("planted")
+        return scorer(g, ar)
+
+    monkeypatch.setitem(conjectures._SCORERS, 5, failing)
+    if first:
+        with pytest.raises(ArithmeticError, match="planted"):
+            score(5, star_child)
+    else:
+        score(5, reps[0])
+    for c in (reps[0], reps[2]):
+        assert c._score == (5, scorer(rebuilt(c), conjectures._FAST))
+    assert star_child._score is None and triangle._score is None
+    assert all(c._brood is None for c in reps)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="planted"):
+            score(5, star_child)
+        with pytest.raises(HypothesisError):
+            score(5, triangle)
+    assert star_child._score is None and triangle._score is None
+
+
+def test_a_large_expansion_is_scored_in_bounded_chunks(monkeypatch):
+    # A 60-vertex tree has 1,830 connected-space children. Neither eigvalsh
+    # nor the distance sweep is handed a stack above the chunk size, and no
+    # representative keeps its brood once the brood is scored.
+    elements = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: elements.append(a.size) or eigvalsh(a))
+    distances = conjectures.all_pairs_distances
+    monkeypatch.setattr(conjectures, "all_pairs_distances",
+                        lambda gs: elements.append(len(gs) * gs[0].n ** 2) or distances(gs))
+    kids = children(random_tree(60, random.Random(60)), SearchSpace.CONNECTED)
+    reps = [c for c in kids if c._sibling is None]
+    assert len(kids) == 1830 and len(reps) > 1000
+    score(7, kids[0])
+    # Each of the two orders needs several chunks, each one sweep and solve.
+    assert len(elements) > 4 and max(elements) <= conjectures._CHUNK_ELEMENTS
+    assert all(c._brood is None and c._score[0] == 7 for c in reps)

@@ -158,9 +158,9 @@ def test_peak_stats_rejects_non_trees():
 def test_diameter_and_proximity():
     assert all_pairs_distances(path(5)).max() == 4
     assert all_pairs_distances(complete(6)).max() == 1
-    assert proximity(path(3)) == Fraction(1)
-    assert proximity(path(4)) == Fraction(4, 3)
-    assert proximity(star(9)) == Fraction(1)
+    assert proximity(all_pairs_distances(path(3))) == Fraction(1)
+    assert proximity(all_pairs_distances(path(4))) == Fraction(4, 3)
+    assert proximity(all_pairs_distances(star(9))) == Fraction(1)
     assert oracles.proximity_float(path(4)) == pytest.approx(4 / 3, abs=1e-12)
 
 
@@ -249,6 +249,9 @@ def test_matrices_match_per_edge_fill():
         assert adjacency_matrix(g).dtype == np.int64
         assert np.array_equal(adjacency_matrix(g), a)
         assert np.array_equal(laplacian_matrix(g), np.diag(a.sum(axis=1)) - a)
+        # A float stack holds the int matrix's bits: no -0.0 anywhere.
+        for build in (adjacency_matrix, laplacian_matrix):
+            assert build([g])[0].tobytes() == build(g).astype(np.float64).tobytes()
 
 
 def test_matching_number_needs_blossoms():

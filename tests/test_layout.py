@@ -7,6 +7,7 @@ A helper that only tests call belongs in the tests or in ``oracles.py``
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import graphrefute
@@ -52,3 +53,21 @@ def test_every_top_level_name_is_used_in_src():
         if name not in referenced and name not in public
     ]
     assert unused == [], f"defined in src/ but never used there: {unused}"
+
+
+def test_every_bench_layer_resolves():
+    # A traced benchmark run wraps each (module, attribute) pair that
+    # bench/spans.py lists, and crashes at getattr on one that is gone. The
+    # list is read from the file, so the benchmark itself is not imported.
+    spans = ast.parse((PACKAGE.parent.parent / "bench" / "spans.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in spans.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["LAYER_FUNCTIONS"])
+    missing = []
+    for module, attr in layers:
+        owner = importlib.import_module(f"graphrefute.{module}")
+        for name in attr.split("."):
+            owner = getattr(owner, name, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    assert layers and missing == [], f"bench layers that do not resolve: {missing}"

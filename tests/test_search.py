@@ -345,7 +345,7 @@ def test_playouts_from_a_known_connected_graph_never_walk(walks):
     ],
     ids=["c5-trees", "c8-connected"],
 )
-def test_amcs_walks_only_the_initial_graph_and_pruned_graphs(monkeypatch, walks, cid, params):
+def test_amcs_walks_only_the_initial_graph(monkeypatch, walks, cid, params):
     # Forward and backward moves both hand connectivity on, so only the
     # initial graph starts unknown, even though the search prunes.
     prune_steps = []
