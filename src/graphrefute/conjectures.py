@@ -430,11 +430,12 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
     sibling reads that sibling's memo when its own is empty. A spectral
     value so shared may differ from its own labelling's in the last bits.
 
-    The first call on any class representative of an expansion scores all
-    of them (the brood) that meet the hypotheses, in chunks of one order and
-    at most _CHUNK_ELEMENTS matrix elements, each with one stack, distance
-    sweep and eigvalsh; any other graph is a brood of one. A member that
-    raises gets no memo: it raises at its own call, and at every later one.
+    The first call on any graph of a brood (an expansion's class
+    representatives, or the playouts of a level-1 expansion's children)
+    scores all its members that meet the hypotheses, in chunks of one order
+    and at most _CHUNK_ELEMENTS matrix elements, each with one stack,
+    distance sweep and eigvalsh; any other graph is a brood of one. A member
+    that raises gets no memo: it raises at its own call, and at every later one.
     """
     memo = g._score or g._sibling and g._sibling._score
     if not polish and memo and memo[0] == conjecture_id:

@@ -83,8 +83,9 @@ class Graph:
     # _connected memoises is_connected: None until known, then True or False.
     # _sibling is None, or the first child of the class of moves that
     # `children` put this graph in, which is isomorphic to it: `score` may
-    # share its memo. _brood, on each first child, lists all first children for
-    # `score` to evaluate at once. Equality, hashing and the guard ignore all four.
+    # share its memo. _brood lists the graphs `score` evaluates at once: all
+    # first children (`children`) or all playouts (`playouts`) of an expansion.
+    # Equality, hashing and the guard ignore all four.
     __slots__ = ("n", "m", "_adj", "_score", "_connected", "_sibling", "_brood")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -312,6 +313,7 @@ def children(g: Graph, space: SearchSpace) -> list[Graph]:
     (`_tree_classes`); otherwise they come from twin vertices
     (`_twin_classes`). Each first child holds the list of all first children
     in ``_brood``, so that `conjectures.score` evaluates them in one batch.
+    A level-1 search reads the list twice: for `playouts`, then for its loop.
     """
     moves = legal_moves(g, space)
     classes = _tree_classes(g) if space is SearchSpace.TREES else _twin_classes(g, moves)
@@ -395,61 +397,63 @@ def _twin_classes(g: Graph, moves: list[Move]) -> list[tuple]:
     return out
 
 
+def _grow(adj: list[tuple[int, ...]], kind: MoveKind, u: int, v: int) -> None:
+    """Patch a valid forward move into adj, a list of sorted neighbour tuples.
+    The new vertex len(adj) is the largest label: appending it keeps order."""
+    n = len(adj)
+    if kind is MoveKind.ADD_LEAF:
+        adj[u] += (n,)
+        adj.append((u,))
+        return
+    au, av = adj[u], adj[v]
+    i, j = bisect_left(au, v), bisect_left(av, u)
+    if kind is MoveKind.SUBDIVIDE:
+        adj[u], adj[v] = au[:i] + au[i + 1:] + (n,), av[:j] + av[j + 1:] + (n,)
+        adj.append((u, v) if u < v else (v, u))
+    else:
+        adj[u], adj[v] = au[:i] + (v,) + au[i:], av[:j] + (u,) + av[j:]
+
+
 def apply_move(g: Graph, move: Move) -> Graph:
     """Apply a move to g, validating its preconditions.
 
-    Every move patches a copy of g's adjacency. A forward move's new vertex
-    n is the largest label, so appending it keeps each neighbour tuple
-    sorted. Forward moves keep a connected graph connected, so a child of a
-    graph known to be connected is known to be too; add-edge may join a
+    Every move patches a copy of g's adjacency; a forward move's patch is
+    `_grow`'s. Forward moves keep a connected graph connected, so a child of
+    a graph known to be connected is known to be too; add-edge may join a
     disconnected graph, so any other child starts unknown. A backward move
     drops its vertex and shifts the labels above it down, which keeps the
     order; it never changes the number of components, so its result knows
     what g knows.
     """
-    k = move.kind
+    k, u, v = move.kind, move.u, move.v
     n, adj = g.n, list(g._adj)
     if k is MoveKind.ADD_LEAF:
-        v = move.u
-        if not (0 <= v < n):
-            raise InvalidMoveError(f"add-leaf anchor {v} out of range")
-        adj[v] += (n,)
-        adj.append((v,))
-        return Graph._trusted(tuple(adj), g.m + 1, g._connected or None)
-    if k is MoveKind.SUBDIVIDE:
-        u, v = move.u, move.v
+        if not 0 <= u < n:
+            raise InvalidMoveError(f"add-leaf anchor {u} out of range")
+    elif k is MoveKind.SUBDIVIDE:
         if not (0 <= u < n and 0 <= v < n) or not g.has_edge(u, v):
             raise InvalidMoveError(f"subdivide needs an existing edge, got ({u}, {v})")
-        for a, b in ((u, v), (v, u)):
-            i = bisect_left(adj[a], b)
-            adj[a] = adj[a][:i] + adj[a][i + 1:] + (n,)
-        adj.append((min(u, v), max(u, v)))
-        return Graph._trusted(tuple(adj), g.m + 1, g._connected or None)
-    if k is MoveKind.ADD_EDGE:
-        u, v = move.u, move.v
+    elif k is MoveKind.ADD_EDGE:
         if not (0 <= u < n and 0 <= v < n) or u == v or g.has_edge(u, v):
             raise InvalidMoveError(f"add-edge needs a non-edge, got ({u}, {v})")
-        for a, b in ((u, v), (v, u)):
-            i = bisect_left(adj[a], b)
-            adj[a] = adj[a][:i] + (b,) + adj[a][i:]
-        return Graph._trusted(tuple(adj), g.m + 1, g._connected or None)
-    if k is MoveKind.REMOVE_LEAF:
-        gone = move.u
-        if not (0 <= gone < n) or g.degree(gone) != 1:
-            raise InvalidMoveError(f"remove-leaf needs a degree-1 vertex, got {gone}")
+    elif k is MoveKind.REMOVE_LEAF:
+        if not (0 <= u < n) or g.degree(u) != 1:
+            raise InvalidMoveError(f"remove-leaf needs a degree-1 vertex, got {u}")
     elif k is MoveKind.SMOOTH:
-        gone = move.u
-        if not (0 <= gone < n) or g.degree(gone) != 2:
-            raise InvalidMoveError(f"smooth needs a degree-2 vertex, got {gone}")
-        a, b = adj[gone]
+        if not (0 <= u < n) or g.degree(u) != 2:
+            raise InvalidMoveError(f"smooth needs a degree-2 vertex, got {u}")
+        a, b = adj[u]
         if g.has_edge(a, b):
-            raise InvalidMoveError(f"smooth at {gone} would create a parallel edge")
+            raise InvalidMoveError(f"smooth at {u} would create a parallel edge")
         adj[a], adj[b] = tuple(sorted(adj[a] + (b,))), tuple(sorted(adj[b] + (a,)))
     else:
         raise InvalidMoveError(f"unknown move kind {k!r}")
-    del adj[gone]
-    adj = tuple(tuple(x - (x > gone) for x in row if x != gone) for row in adj)
-    return Graph._trusted(adj, g.m - 1, g._connected)
+    if k is MoveKind.REMOVE_LEAF or k is MoveKind.SMOOTH:
+        del adj[u]
+        adj = tuple(tuple(x - (x > u) for x in row if x != u) for row in adj)
+        return Graph._trusted(adj, g.m - 1, g._connected)
+    _grow(adj, k, u, v)
+    return Graph._trusted(tuple(adj), g.m + 1, g._connected or None)
 
 
 def removable_vertices(g: Graph) -> list[Move]:
@@ -476,35 +480,51 @@ def random_playout(g: Graph, depth: int, space: SearchSpace, rng: random.Random)
 
     Each step draws the index ``rng.choice(legal_moves(g, space))`` would
     draw, then walks the adjacency to that move without listing the moves,
-    so the random stream and every result are the same.
+    so the random stream and every result are the same. Every step patches
+    one copy of g's adjacency, wrapped once at the end; depth 0 returns g.
     """
+    if not depth:
+        return g
+    n, m, adj = g.n, g.m, list(g._adj)
     for _ in range(depth):
-        n, m, adj = g.n, g.m, g._adj
         non_edges = n * (n - 1) // 2 - m if space is SearchSpace.CONNECTED else 0
         i = rng.randrange(n + m + non_edges)
         if i < n:
-            g = apply_move(g, Move.add_leaf(i))
-            continue
-        kind = MoveKind.SUBDIVIDE if i < n + m else MoveKind.ADD_EDGE
-        i -= n if kind is MoveKind.SUBDIVIDE else n + m
-        for u in range(n):
-            first = bisect_right(adj[u], u)  # the neighbours above u
-            above = len(adj[u]) - first
-            count = above if kind is MoveKind.SUBDIVIDE else n - 1 - u - above
-            if i < count:
-                break
-            i -= count
-        if kind is MoveKind.SUBDIVIDE:
-            v = adj[u][first + i]
+            kind, u, v = MoveKind.ADD_LEAF, i, -1
         else:
-            # The i-th non-neighbour above u: u + 1 + i, stepped past each
-            # neighbour at or below it.
-            v = u + 1 + i
-            for w in adj[u][first:]:
-                if w <= v:
-                    v += 1
-        g = apply_move(g, Move(kind, u, v))
-    return g
+            kind = MoveKind.SUBDIVIDE if i < n + m else MoveKind.ADD_EDGE
+            i -= n if kind is MoveKind.SUBDIVIDE else n + m
+            for u in range(n):
+                first = bisect_right(adj[u], u)  # the neighbours above u
+                above = len(adj[u]) - first
+                count = above if kind is MoveKind.SUBDIVIDE else n - 1 - u - above
+                if i < count:
+                    break
+                i -= count
+            if kind is MoveKind.SUBDIVIDE:
+                v = adj[u][first + i]
+            else:
+                # The i-th non-neighbour above u: u + 1 + i, stepped past
+                # each neighbour at or below it.
+                v = u + 1 + i
+                for w in adj[u][first:]:
+                    if w <= v:
+                        v += 1
+        _grow(adj, kind, u, v)
+        n, m = len(adj), m + 1
+    return Graph._trusted(tuple(adj), m, g._connected or None)
+
+
+def playouts(graphs: list[Graph], depth: int, space: SearchSpace,
+             rng: random.Random) -> list[Graph]:
+    """`random_playout` of each graph, drawn in order. At depth >= 1 each
+    playout holds the list of them all in ``_brood``, so that
+    `conjectures.score` evaluates them in one batch; at depth 0 each is its
+    graph and joins no brood."""
+    out = [random_playout(g, depth, space, rng) for g in graphs]
+    for p in out if depth else ():
+        object.__setattr__(p, "_brood", out)
+    return out
 
 
 # -- AHU labels of trees -----------------------------------------------------

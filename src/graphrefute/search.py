@@ -22,6 +22,7 @@ from .graphs import (
     SearchSpace,
     apply_move,
     children,
+    playouts,
     random_playout,
     removable_vertices,
 )
@@ -67,6 +68,12 @@ class SearchResult:
     trace: list[TraceRecord] = field(default_factory=list)
 
 
+def _level0(g: Graph, g_score: float, out: Graph, score_fn: ScoreFn) -> tuple[Graph, float]:
+    """Level 0 from g, given its playout: the playout if it scores higher."""
+    out_score = score_fn(out)
+    return (out, out_score) if out_score > g_score else (g, g_score)
+
+
 def _nmcs(
     g: Graph,
     g_score: float,
@@ -77,20 +84,22 @@ def _nmcs(
     rng: random.Random,
     deadline: float | None,
 ) -> tuple[Graph, float]:
-    best, best_score = g, g_score
     if level == 0:
-        candidate = random_playout(g, depth, space, rng)
-        cand_score = score_fn(candidate)
-        if cand_score > best_score:
-            best, best_score = candidate, cand_score
-        return best, best_score
-    for child in children(g, space):
+        return _level0(g, g_score, random_playout(g, depth, space, rng), score_fn)
+    best, best_score = g, g_score
+    kids = children(g, space)
+    # Level 1 draws every playout up front, in loop order: nothing else here uses rng.
+    outs = playouts(kids, depth, space, rng) if level == 1 else kids
+    for child, out in zip(kids, outs):
         if deadline is not None and time.perf_counter() > deadline:
             break
         child_score = score_fn(child)
-        result, result_score = _nmcs(
-            child, child_score, depth, level - 1, score_fn, space, rng, deadline
-        )
+        if level == 1:
+            result, result_score = _level0(child, child_score, out, score_fn)
+        else:
+            result, result_score = _nmcs(
+                child, child_score, depth, level - 1, score_fn, space, rng, deadline
+            )
         if result_score > best_score:
             best, best_score = result, result_score
     return best, best_score

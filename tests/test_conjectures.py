@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -37,6 +38,7 @@ from graphrefute.graphs import (
     complete,
     cycle,
     path,
+    playouts,
     random_tree,
     star,
 )
@@ -290,6 +292,44 @@ def test_expansion_memos_equal_single_evaluations_bit_for_bit(cid):
                 assert child._score == (cid, sc)
                 fresh = conjectures._SCORERS[cid](rebuilt(child), conjectures._FAST)
                 assert _same_bits(sc, fresh), (cid, n, sc, fresh)
+
+
+@pytest.mark.parametrize("cid", sorted(REGISTRY))
+def test_playout_memos_equal_single_evaluations_bit_for_bit(cid):
+    # A level-1 expansion scores its children's playouts as one brood, at
+    # the first call on any of them; each playout's memo must still be its
+    # own evaluation, bit for bit. The depth cycles through 1-3 as the
+    # parents grow; c3's parents stop at 9, so its playouts stop at 13.
+    spec = get_conjecture(cid)
+    rng = random.Random(cid)
+    for n, depth in zip(range(3, 10 if cid == 3 else 26, 2), itertools.cycle((1, 2, 3))):
+        parents = [random_tree(n, rng)]
+        if spec.space is SearchSpace.CONNECTED:
+            parents.append(random_connected_graph(n, rng))
+        for parent in parents:
+            outs = playouts(children(parent, spec.space), depth, spec.space, rng)
+            scored = [(p, score(cid, p)) for p in outs if not check_hypotheses(cid, p)]
+            assert scored
+            for p, sc in scored:
+                assert p._score == (cid, sc) and p._brood is None
+                fresh = conjectures._SCORERS[cid](rebuilt(p), conjectures._FAST)
+                assert _same_bits(sc, fresh), (cid, n, depth, sc, fresh)
+
+
+def test_an_expansions_playouts_share_chunks(monkeypatch):
+    # The playouts of one depth-2 expansion of a 10-vertex tree have orders
+    # 10 to 13, so a handful of chunks score them all.
+    chunks = []
+    over = conjectures._Arithmetic.over
+    monkeypatch.setattr(conjectures._Arithmetic, "over",
+                        lambda ar, chunk: chunks.append(chunk) or over(ar, chunk))
+    rng = random.Random(10)
+    outs = playouts(children(random_tree(10, rng), SearchSpace.CONNECTED), 2,
+                    SearchSpace.CONNECTED, rng)
+    for p in outs:
+        score(7, p)
+    assert sorted(map(id, outs)) == sorted(id(p) for chunk in chunks for p in chunk)
+    assert len(chunks) <= 4 < len(outs)
 
 
 @pytest.mark.parametrize("first", [0, 1], ids=["healthy-first", "raising-first"])

@@ -28,6 +28,7 @@ from graphrefute.graphs import (
     cycle,
     legal_moves,
     path,
+    playouts,
     random_playout,
     random_tree,
     removable_vertices,
@@ -239,6 +240,20 @@ def test_random_playout_matches_choice_over_legal_moves():
             ref = _reference_playout(g, depth, space, ref_rng)
             assert fast._adj == ref._adj
             assert fast_rng.getstate() == ref_rng.getstate()
+
+
+def test_playouts_draw_in_order_and_link_the_fresh_ones():
+    kids = children(random_tree(7, random.Random(2)), SearchSpace.CONNECTED)
+    for depth in (0, 1, 3):
+        rng, ref_rng = random.Random(depth), random.Random(depth)
+        outs = playouts(kids, depth, SearchSpace.CONNECTED, rng)
+        refs = [random_playout(k, depth, SearchSpace.CONNECTED, ref_rng) for k in kids]
+        assert outs == refs and rng.getstate() == ref_rng.getstate()
+        assert all(p.m == rebuilt(p).m and p._connected for p in outs)
+        if depth:
+            assert all(p._brood is outs for p in outs)
+        else:  # each playout is its child, whose brood is the children's
+            assert all(p is k for p, k in zip(outs, kids))
 
 
 def test_forward_moves_match_a_validated_rebuild():

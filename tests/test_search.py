@@ -291,10 +291,10 @@ def test_amcs_trace_digest_is_pinned(monkeypatch, cid, start, params, deep, dige
     expansions = []
 
     def recording(g, space):
-        expansions.append([])
-        for child in graphs.children(g, space):
-            expansions[-1].append(child)
-            yield child
+        # A list, as `children` returns: an expansion reads it twice, once
+        # for its playouts and once for its children.
+        expansions.append(graphs.children(g, space))
+        return expansions[-1]
 
     monkeypatch.setattr(search, "children", recording)
     rng = random.Random(params.seed)
@@ -307,6 +307,37 @@ def test_amcs_trace_digest_is_pinned(monkeypatch, cid, start, params, deep, dige
         return
     # One key per expansion, for its orbits; nothing else is keyed.
     assert len(keys) == len(expansions)
+
+
+@pytest.mark.parametrize(
+    ("cid", "start", "params", "digest"),
+    [
+        (7, lambda rng: random_tree(6, rng), SearchParams(max_depth=3, max_level=1, seed=1),
+         "b6669e87a458bb7b6f90cc8e829d1abca5bf2a7a137d067a3ba157e1e832e858"),
+        (9, lambda rng: random_tree(5, rng), SearchParams(max_depth=3, max_level=2, seed=2),
+         "7f13d885f6f703d787dcb4bae916d9bd8a281638e9e4a679cf5cc299107feda4"),
+        (4, lambda rng: random_tree(6, rng),
+         SearchParams(max_depth=3, max_level=2, trees_only=True, seed=3),
+         "929f415b2e7790822b541121f17f4f4efd8f1ef9e657013ffa6e0ab7fdb4c3b8"),
+    ],
+    ids=["c7-connected", "c9-connected", "c4-trees"],
+)
+def test_amcs_score_calls_are_pinned(cid, start, params, digest):
+    # Every score_fn call, in order, as the line the benchmark digests: the
+    # graph scored, by order and size, and the value handed back. Each
+    # search plays out at depths 1 to 3. Values are LAPACK floats: another
+    # BLAS build may round them differently.
+    lines = hashlib.sha256()
+
+    def score_fn(g: Graph) -> float:
+        value = score(cid, g).value
+        lines.update(f"{g.n} {g.m} {value!r}\n".encode())
+        return value
+
+    rng = random.Random(params.seed)
+    result = amcs(start(rng), params, score_fn, rng=rng)
+    assert {r.depth for r in result.trace} >= {1, 2, 3}
+    assert lines.hexdigest() == digest
 
 
 @pytest.fixture
