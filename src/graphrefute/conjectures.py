@@ -18,7 +18,7 @@ from typing import Callable
 import mpmath as mp
 
 from . import invariants as inv
-from .graphs import Graph, SearchSpace, all_pairs_distances
+from .graphs import Graph, SearchSpace, all_pairs_distances, walk_distances
 
 NEG_INF = float("-inf")
 
@@ -241,21 +241,29 @@ class _Arithmetic:
         i = self._at.get(id(g))
         if i is None:
             return self.over([g]).matrix(g, build)
-        if build not in self._done:
-            self._done[build] = build(self.chunk)
-        return self._done[build][i]
+        return self._stack(build)[i]
 
     def spectrum(self, g: Graph, build, descending: bool) -> inv.Spectrum:
         i = self._at.get(id(g))
         if i is None:
             return self.over([g]).spectrum(g, build, descending)
         if (build, descending) not in self._done:
-            self.matrix(g, build)
-            self._done[build, descending] = self.solve(self._done[build], descending)
+            self._done[build, descending] = self.solve(self._stack(build), descending)
         sp = self._done[build, descending][i]
         if isinstance(sp, inv.NumericError):
             raise sp
         return sp
+
+    def _stack(self, build):
+        # One adjacency stack per chunk: Laplacians and non-tree distances derive from it.
+        if build not in self._done:
+            if build is inv.laplacian_matrix:
+                self._done[build] = build(self._stack(inv.adjacency_matrix))
+            elif build is all_pairs_distances and any(h.m != h.n - 1 for h in self.chunk):
+                self._done[build] = walk_distances(self._stack(inv.adjacency_matrix))
+            else:
+                self._done[build] = build(self.chunk)
+        return self._done[build]
 
 
 def _floats(polish: bool) -> _Arithmetic:

@@ -103,26 +103,22 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
             m += 1
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(s)) for s in adj))
-        object.__setattr__(self, "_score", None)
-        object.__setattr__(self, "_connected", None)
-        object.__setattr__(self, "_sibling", None)
-        object.__setattr__(self, "_brood", None)
+        adj = tuple(tuple(sorted(s)) for s in adj)
+        for slot, value in zip(_SLOTS, (n, m, adj, None, None, None, None)):
+            slot.__set__(self, value)
 
     @classmethod
     def _trusted(cls, adj: tuple[tuple[int, ...], ...], m: int, connected: bool | None) -> "Graph":
         """Wrap adjacency the caller guarantees sorted, symmetric and simple,
         with its connectivity if the caller knows it (else None)."""
         g = object.__new__(cls)
-        object.__setattr__(g, "n", len(adj))
-        object.__setattr__(g, "m", m)
-        object.__setattr__(g, "_adj", adj)
-        object.__setattr__(g, "_score", None)
-        object.__setattr__(g, "_connected", connected)
-        object.__setattr__(g, "_sibling", None)
-        object.__setattr__(g, "_brood", None)
+        _N.__set__(g, len(adj))
+        _M.__set__(g, m)
+        _ADJ.__set__(g, adj)
+        _SCORE.__set__(g, None)
+        _CONNECTED.__set__(g, connected)
+        _SIBLING.__set__(g, None)
+        _BROOD.__set__(g, None)
         return g
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -180,11 +176,16 @@ class Graph:
                     seen[v] = 1
                     count += 1
                     stack.append(v)
-        object.__setattr__(self, "_connected", count == self.n)
+        _CONNECTED.__set__(self, count == self.n)
         return self._connected
 
     def is_tree(self) -> bool:
         return self.m == self.n - 1 and self.is_connected()
+
+
+# Graph's slot descriptors, which set a slot past the immutability guard.
+_SLOTS = [Graph.__dict__[name] for name in Graph.__slots__]
+_N, _M, _ADJ, _SCORE, _CONNECTED, _SIBLING, _BROOD = _SLOTS
 
 
 # -- constructors ----------------------------------------------------------
@@ -290,22 +291,25 @@ def legal_moves(g: Graph, space: SearchSpace) -> list[Move]:
     leaf anchors ascending, then edges lexicographically, then non-edges
     lexicographically.
     """
+    moves = _forward_pairs(g, space)
+    kinds = [MoveKind.ADD_LEAF] * g.n + [MoveKind.SUBDIVIDE] * g.m + [MoveKind.ADD_EDGE] * len(moves)
+    return [Move(kind, u, v) for kind, (u, v) in zip(kinds, moves)]  # stops at the last move
+
+
+def _forward_pairs(g: Graph, space: SearchSpace) -> list[tuple[int, int]]:
+    """Each of `legal_moves` as the (u, v) pair `_grow` takes, -1 for v at an add-leaf."""
     if not g.is_connected():
-        raise GraphError("legal_moves requires a connected graph")
-    moves = [Move.add_leaf(v) for v in range(g.n)]
-    moves += [Move.subdivide(u, v) for u, v in g.edges()]
+        raise GraphError("forward moves require a connected graph")
+    n, adj = g.n, g._adj
+    pairs = [(u, -1) for u in range(n)] + list(g.edges())
     if space is SearchSpace.CONNECTED:
-        adj = g._adj
-        for u in range(g.n):
-            nbrs = adj[u]
-            for v in range(u + 1, g.n):
-                if v not in nbrs:
-                    moves.append(Move.add_edge(u, v))
-    return moves
+        pairs += [(u, v) for u in range(n) for v in range(u + 1, n) if v not in adj[u]]
+    return pairs
 
 
 def children(g: Graph, space: SearchSpace) -> list[Graph]:
-    """The child of each of `legal_moves`, in its order.
+    """The child of each of `legal_moves`, in its order: `_grow` patches its
+    pair into a copy of g's adjacency, with no `Move` and no validation.
 
     Moves of one class give isomorphic children, and each child after the
     first of its class refers to that first sibling in ``_sibling``. In tree
@@ -315,17 +319,18 @@ def children(g: Graph, space: SearchSpace) -> list[Graph]:
     in ``_brood``, so that `conjectures.score` evaluates them in one batch.
     A level-1 search reads the list twice: for `playouts`, then for its loop.
     """
-    moves = legal_moves(g, space)
-    classes = _tree_classes(g) if space is SearchSpace.TREES else _twin_classes(g, moves)
-    out = [apply_move(g, move) for move in moves]
-    first: dict = {}
-    for child, cls in zip(out, classes):
-        rep = first.setdefault(cls, child)
-        if rep is not child:
-            object.__setattr__(child, "_sibling", rep)
+    pairs = _forward_pairs(g, space)
+    classes = _tree_classes(g) if space is SearchSpace.TREES else _twin_classes(g, pairs)
+    adj, m, out, first = g._adj, g.m + 1, [], {}
+    for (u, v), cls in zip(pairs, classes):
+        grown = list(adj)
+        _grow(grown, u, v)
+        out.append(child := Graph._trusted(tuple(grown), m, True))
+        if (rep := first.setdefault(cls, child)) is not child:
+            _SIBLING.__set__(child, rep)
     brood = list(first.values())
     for rep in brood:
-        object.__setattr__(rep, "_brood", brood)
+        _BROOD.__set__(rep, brood)
     return out
 
 
@@ -375,39 +380,37 @@ def _orbits(g: Graph) -> list[int]:
     return orbit
 
 
-def _twin_classes(g: Graph, moves: list[Move]) -> list[tuple]:
-    """Each connected-space move's class: its kind plus its endpoints' twin
-    classes, unordered. u and v are twins when N(u) - {v} = N(v) - {u}.
+def _twin_classes(g: Graph, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Each connected-space move's class: its pair's twin classes, unordered,
+    with -1 for an add-leaf's v. u and v are twins when N(u) - {v} = N(v) - {u}.
 
     Swapping twins is an automorphism. Twins share an open neighbourhood
     (keyed as is) or a closed one (keyed in a 1-tuple), never both at one
     vertex: a closed twin w of u lies in N(u), so an open twin v of u would
     lie in N[w] - {u} = N(u) = N(v). Each class is thus of one kind, and its
-    transpositions give its whole symmetric group.
+    transpositions give its whole symmetric group. A class is independent or
+    a clique, and two are joined by all edges or none: a key needs no kind.
     """
     adj = g._adj
     opens = Counter(adj)
     ids: dict = {}
     twin = [ids.setdefault(a if opens[a] > 1 else (tuple(sorted(a + (u,))),), len(ids))
-            for u, a in enumerate(adj)]
-    out = []
-    for move in moves:
-        a, b = twin[move.u], twin[move.v] if move.v >= 0 else -1
-        out.append((move.kind, min(a, b), max(a, b)))
-    return out
+            for u, a in enumerate(adj)] + [-1]  # twin[-1], for an add-leaf's v
+    return [(a, b) if (a := twin[u]) < (b := twin[v]) else (b, a) for u, v in pairs]
 
 
-def _grow(adj: list[tuple[int, ...]], kind: MoveKind, u: int, v: int) -> None:
-    """Patch a valid forward move into adj, a list of sorted neighbour tuples.
-    The new vertex len(adj) is the largest label: appending it keeps order."""
+def _grow(adj: list[tuple[int, ...]], u: int, v: int) -> None:
+    """Patch a valid forward move into adj, a list of sorted neighbour tuples:
+    a leaf at u when v < 0, else the subdivision of edge uv or the new edge
+    uv. The new vertex len(adj) is the largest label: appending it keeps order."""
     n = len(adj)
-    if kind is MoveKind.ADD_LEAF:
+    if v < 0:
         adj[u] += (n,)
         adj.append((u,))
         return
     au, av = adj[u], adj[v]
     i, j = bisect_left(au, v), bisect_left(av, u)
-    if kind is MoveKind.SUBDIVIDE:
+    if i < len(au) and au[i] == v:
         adj[u], adj[v] = au[:i] + au[i + 1:] + (n,), av[:j] + av[j + 1:] + (n,)
         adj.append((u, v) if u < v else (v, u))
     else:
@@ -452,7 +455,7 @@ def apply_move(g: Graph, move: Move) -> Graph:
         del adj[u]
         adj = tuple(tuple(x - (x > u) for x in row if x != u) for row in adj)
         return Graph._trusted(adj, g.m - 1, g._connected)
-    _grow(adj, k, u, v)
+    _grow(adj, u, -1 if k is MoveKind.ADD_LEAF else v)
     return Graph._trusted(tuple(adj), g.m + 1, g._connected or None)
 
 
@@ -490,18 +493,18 @@ def random_playout(g: Graph, depth: int, space: SearchSpace, rng: random.Random)
         non_edges = n * (n - 1) // 2 - m if space is SearchSpace.CONNECTED else 0
         i = rng.randrange(n + m + non_edges)
         if i < n:
-            kind, u, v = MoveKind.ADD_LEAF, i, -1
+            u, v = i, -1
         else:
-            kind = MoveKind.SUBDIVIDE if i < n + m else MoveKind.ADD_EDGE
-            i -= n if kind is MoveKind.SUBDIVIDE else n + m
+            subdivide = i < n + m
+            i -= n if subdivide else n + m
             for u in range(n):
                 first = bisect_right(adj[u], u)  # the neighbours above u
                 above = len(adj[u]) - first
-                count = above if kind is MoveKind.SUBDIVIDE else n - 1 - u - above
+                count = above if subdivide else n - 1 - u - above
                 if i < count:
                     break
                 i -= count
-            if kind is MoveKind.SUBDIVIDE:
+            if subdivide:
                 v = adj[u][first + i]
             else:
                 # The i-th non-neighbour above u: u + 1 + i, stepped past
@@ -510,7 +513,7 @@ def random_playout(g: Graph, depth: int, space: SearchSpace, rng: random.Random)
                 for w in adj[u][first:]:
                     if w <= v:
                         v += 1
-        _grow(adj, kind, u, v)
+        _grow(adj, u, v)
         n, m = len(adj), m + 1
     return Graph._trusted(tuple(adj), m, g._connected or None)
 
@@ -523,7 +526,7 @@ def playouts(graphs: list[Graph], depth: int, space: SearchSpace,
     graph and joins no brood."""
     out = [random_playout(g, depth, space, rng) for g in graphs]
     for p in out if depth else ():
-        object.__setattr__(p, "_brood", out)
+        _BROOD.__set__(p, out)
     return out
 
 
@@ -584,31 +587,42 @@ def tree_key(g: Graph, ids: dict) -> tuple[tuple[int, ...], list[int], list[int]
 # -- distances ---------------------------------------------------------------
 
 
+def adjacency_matrix(g: Graph | list[Graph]) -> np.ndarray:
+    """int64 adjacency matrix of a graph; a float64 (k, n, n) stack for a list of one order."""
+    graphs = [g] if isinstance(g, Graph) else g
+    n = graphs[0].n
+    a = np.zeros((len(graphs), n, n))
+    # _adj lists both directions of every edge, so one fill sets both halves.
+    a.put([(i * n + u) * n + v for i, h in enumerate(graphs)
+           for u, nbrs in enumerate(h._adj) for v in nbrs], 1)
+    return a[0].astype(np.int64) if isinstance(g, Graph) else a
+
+
 def all_pairs_distances(g: Graph | list[Graph]) -> np.ndarray:
     """int64 distances of a connected graph; a float64 (k, n, n) stack for a list of one order."""
     graphs = [g] if isinstance(g, Graph) else g
-    k, n = len(graphs), graphs[0].n
-    if all(h.m == n - 1 for h in graphs):
-        dist = _tree_distances(graphs)
+    trees = all(h.m == h.n - 1 for h in graphs)
+    dist = _tree_distances(graphs) if trees else walk_distances(adjacency_matrix(graphs))
+    return dist[0].astype(np.int64) if isinstance(g, Graph) else dist.astype(np.float64, copy=False)
+
+
+def walk_distances(a: np.ndarray) -> np.ndarray:
+    """float64 distances from a float64 (k, n, n) stack of connected graphs'
+    adjacency matrices, by BFS from all sources at once. Each level marks the
+    pairs within it, so a pair's distance is the level count minus its marks,
+    also in a graph done before the others."""
+    n = a.shape[-1]
+    step = a.astype(np.float32) + np.eye(n, dtype=np.float32)
+    reach = np.eye(n, dtype=np.float32)[None]  # broadcast over the stack
+    marks = np.zeros(a.shape, dtype=np.float32)
+    for levels in range(n):
+        if np.count_nonzero(reach) == reach.size:
+            break
+        marks += reach
+        reach = np.minimum(reach @ step, 1)
     else:
-        # Level-synchronous BFS from all sources at once: at level d, reach
-        # marks the pairs within d steps. A pair is marked at every level from
-        # its distance on, so its distance is the level count minus its marks,
-        # also in a graph done before the others: each extra level marks all.
-        step = np.zeros((k, n, n), dtype=np.float32)
-        step.put([(i * n + u) * n + v for i, h in enumerate(graphs)
-                  for u, nbrs in enumerate(h._adj) for v in (u, *nbrs)], 1)
-        reach = np.eye(n, dtype=np.float32)[None]  # broadcast over the stack
-        marks = np.zeros((k, n, n), dtype=np.float32)
-        for levels in range(n):
-            if np.count_nonzero(reach) == reach.size:
-                break
-            marks += reach
-            reach = np.minimum(reach @ step, 1)
-        else:
-            raise GraphError("distance matrix requires a connected graph")
-        dist = levels - marks
-    return dist[0].astype(np.int64) if isinstance(g, Graph) else dist.astype(np.float64)
+        raise GraphError("distance matrix requires a connected graph")
+    return (levels - marks).astype(np.float64)
 
 
 def _tree_distances(graphs: list[Graph]) -> np.ndarray:
@@ -617,7 +631,7 @@ def _tree_distances(graphs: list[Graph]) -> np.ndarray:
     Row v of ``anc`` marks v and its ancestors in a DFS tree rooted at 0, so
     ``anc @ anc.T`` counts common ancestors, depth(lca) + 1, and the row sums
     are depth + 1. Then d(i, j) = depth_i + depth_j - 2 depth(lca). Float32
-    holds these integers exactly.
+    holds these integers exactly, so the sum builds in place in any order.
     """
     n = graphs[0].n
     width = (n + 7) // 8
@@ -640,4 +654,8 @@ def _tree_distances(graphs: list[Graph]) -> np.ndarray:
     bits = np.unpackbits(np.frombuffer(b"".join(packed), np.uint8), bitorder="little")
     anc = bits.reshape(len(graphs), n, 8 * width).astype(np.float32)
     size = anc.sum(axis=2)
-    return size[:, :, None] + size[:, None, :] - 2 * (anc @ anc.transpose(0, 2, 1))
+    dist = anc @ anc.transpose(0, 2, 1)
+    dist *= -2
+    dist += size[:, :, None]
+    dist += size[:, None, :]
+    return dist

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, GraphError, all_pairs_distances
+from .graphs import Graph, GraphError, adjacency_matrix, all_pairs_distances
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -56,25 +56,15 @@ def _check_size_guard(op: str, n: int) -> None:
 # -- matrices -----------------------------------------------------------------
 
 
-def adjacency_matrix(g: Graph | list[Graph]) -> np.ndarray:
-    """int64 adjacency matrix of a graph; a float64 (k, n, n) stack for a list of one order."""
-    graphs = [g] if isinstance(g, Graph) else g
-    n = graphs[0].n
-    a = np.zeros((len(graphs), n, n))
-    # _adj lists both directions of every edge, so one fill sets both halves.
-    a.put([(i * n + u) * n + v for i, h in enumerate(graphs)
-           for u, nbrs in enumerate(h._adj) for v in nbrs], 1)
-    return a[0].astype(np.int64) if isinstance(g, Graph) else a
-
-
-def laplacian_matrix(g: Graph | list[Graph]) -> np.ndarray:
-    """D - A with D the diagonal degree matrix, typed as `adjacency_matrix`."""
-    graphs = [g] if isinstance(g, Graph) else g
-    n = graphs[0].n
+def laplacian_matrix(g: Graph | list[Graph] | np.ndarray) -> np.ndarray:
+    """D - A with D the diagonal degree matrix, typed as `adjacency_matrix`;
+    given an adjacency matrix or stack instead of g, typed as it."""
+    a = g if isinstance(g, np.ndarray) else adjacency_matrix(g)
+    n = a.shape[-1]
     # 0 - a, not -a: on floats -a stores -0.0, and LAPACK's Householder step
     # takes the sign of a zero, so the spectrum would move in its last bits.
-    lap = 0 - adjacency_matrix(g)
-    lap.reshape(-1, n * n)[:, :: n + 1] = [list(map(len, h._adj)) for h in graphs]
+    lap = 0 - a
+    lap.reshape(-1, n * n)[:, :: n + 1] = a.sum(axis=-1)
     return lap
 
 
@@ -107,50 +97,49 @@ def symmetric_spectrum(m: np.ndarray, *, descending: bool, polish: bool = False)
     a = np.asarray(m, dtype=np.float64)
     stack = a if a.ndim == 3 else a[None]
     n = stack.shape[-1]
+    # Frobenius norms. The sum of squares of an integer matrix is exact in
+    # any order, so each equals np.linalg.norm(x, "fro") bit for bit.
+    flat = stack.reshape(len(stack), 1, n * n)
+    norms = np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel().tolist()
     try:
-        batch = [None] * len(stack) if polish else np.linalg.eigvalsh(stack).tolist()
-    except np.linalg.LinAlgError:  # it names no culprit: solve each alone below
-        batch = [None] * len(stack)
-    out = []
-    for x, vals in zip(stack, batch):
-        # Frobenius norm. The sum of squares of an integer matrix is exact in
-        # any order, so this equals np.linalg.norm(x, "fro") bit for bit.
-        norm = math.sqrt(np.vdot(x, x))
-        try:
-            if polish:
-                vals, vecs = np.linalg.eigh(x)
-                resid = x @ vecs - vecs * vals
-                # Frobenius norms bound the 2-norms from above, and r / (1 - orth)
-                # grows with both, so the bound stays valid without two SVDs.
-                r = math.sqrt(np.vdot(resid, resid))
-                gram = vecs.T @ vecs - np.eye(n)
-                orth = math.sqrt(np.vdot(gram, gram))
-                if orth >= 0.5:
-                    raise NumericError(f"eigenvector basis badly non-orthogonal ({orth:.3e})",
-                                       residual=orth)
-                # Measured solve quality, gated against the target; the reported
-                # bound adds the rounding incurred while evaluating the residual
-                # itself (~ n*eps*norm), which grows with n and is not the solver's fault.
-                quality = r / (1.0 - orth)
-                bound = quality + 4.0 * n * _EPS * norm
-                target = _POLISH_RESIDUAL_TARGET
-                vals = vals.tolist()
-            else:
-                vals = np.linalg.eigvalsh(x).tolist() if vals is None else vals
-                quality = bound = 10.0 * n * _EPS * norm
-                target = _FAST_RESIDUAL_TARGET
-            if quality > target * max(1.0, norm):
-                raise NumericError(f"eigenvalue residual {quality:.3e} above target",
-                                   residual=quality)
-        except np.linalg.LinAlgError as exc:
-            out.append(NumericError(f"eigensolver failed to converge: {exc}"))
-        except NumericError as exc:
-            out.append(exc)
+        solved = None if polish else [(v, 0.0) for v in np.linalg.eigvalsh(stack).tolist()]
+    except np.linalg.LinAlgError:  # it names no culprit: solve each alone
+        solved = None
+    out, target = [], _POLISH_RESIDUAL_TARGET if polish else _FAST_RESIDUAL_TARGET
+    for (vals, quality), norm in zip(solved or [_solve(x, polish) for x in stack], norms):
+        if polish:
+            # The bound adds the rounding incurred while evaluating the residual
+            # itself (~ n*eps*norm), which grows with n and is not the solver's fault.
+            bound = quality + 4.0 * n * _EPS * norm
         else:
-            out.append(Spectrum(tuple(vals[::-1] if descending else vals), bound))
+            quality = bound = 10.0 * n * _EPS * norm
+        if quality > target * max(1.0, norm):
+            vals = NumericError(f"eigenvalue residual {quality:.3e} above target", residual=quality)
+        out.append(vals if isinstance(vals, NumericError)
+                   else Spectrum(tuple(vals[::-1] if descending else vals), bound))
     if a.ndim == 2 and isinstance(out[0], NumericError):
         raise out[0]
     return out if a.ndim == 3 else out[0]
+
+
+def _solve(x: np.ndarray, polish: bool) -> tuple[list[float] | NumericError, float]:
+    """x's ascending eigenvalues and, polished, the measured solve quality
+    (else 0.0); or the NumericError the solve failed with, and nan."""
+    try:
+        if not polish:
+            return np.linalg.eigvalsh(x).tolist(), 0.0
+        vals, vecs = np.linalg.eigh(x)
+        resid = x @ vecs - vecs * vals
+        gram = vecs.T @ vecs - np.eye(len(x))
+    except np.linalg.LinAlgError as exc:
+        return NumericError(f"eigensolver failed to converge: {exc}"), math.nan
+    # Frobenius norms bound the 2-norms from above, and r / (1 - orth)
+    # grows with both, so the bound stays valid without two SVDs.
+    r, orth = math.sqrt(np.vdot(resid, resid)), math.sqrt(np.vdot(gram, gram))
+    if orth >= 0.5:
+        return NumericError(f"eigenvector basis badly non-orthogonal ({orth:.3e})",
+                            residual=orth), math.nan
+    return vals.tolist(), r / (1.0 - orth)
 
 
 def lambda1(g: Graph) -> float:

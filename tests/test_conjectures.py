@@ -17,7 +17,7 @@ from conftest import (
     star_with_two_tails,
     two_star_centers_joined,
 )
-from graphrefute import conjectures
+from graphrefute import conjectures, graphs
 from graphrefute.codec import decode_graph6
 from graphrefute.conjectures import (
     NEG_INF,
@@ -330,6 +330,27 @@ def test_an_expansions_playouts_share_chunks(monkeypatch):
         score(7, p)
     assert sorted(map(id, outs)) == sorted(id(p) for chunk in chunks for p in chunk)
     assert len(chunks) <= 4 < len(outs)
+
+
+@pytest.mark.parametrize("cid", [7, 8])
+def test_a_chunk_builds_one_adjacency_stack(monkeypatch, cid):
+    # c7 reads adjacency spectra and distances, c8 Laplacian spectra and
+    # distances. Both derive from one adjacency stack per chunk: the
+    # Laplacians always, the distances when the chunk is not all trees. The
+    # brood of a connected graph's children has two orders, so two chunks.
+    chunks, stacks = [], []
+    over = conjectures._Arithmetic.over
+    monkeypatch.setattr(conjectures._Arithmetic, "over",
+                        lambda ar, chunk: chunks.append(chunk) or over(ar, chunk))
+    adjacency = conjectures.inv.adjacency_matrix
+    for module in (conjectures.inv, graphs):
+        monkeypatch.setattr(module, "adjacency_matrix",
+                            lambda gs: stacks.append(gs) or adjacency(gs))
+    parent = random_connected_graph(9, random.Random(cid))
+    kids = children(parent, SearchSpace.CONNECTED)
+    score(cid, kids[0])
+    assert len(chunks) == len(stacks) == 2 and all(a is b for a, b in zip(chunks, stacks))
+    assert all(c._score[0] == cid for c in kids if c._sibling is None)
 
 
 @pytest.mark.parametrize("first", [0, 1], ids=["healthy-first", "raising-first"])

@@ -318,6 +318,41 @@ def test_forward_children_of_a_connected_graph_know_they_are_connected():
     assert decode_graph6(encode_graph6(path(4)))._connected is None
 
 
+def _expected_child_edges(g: Graph, move: Move) -> list[tuple[int, int]]:
+    """The edge list of g's child under a forward move, written out by hand."""
+    edges, u, v, new = list(g.edges()), move.u, move.v, g.n
+    if move.kind is MoveKind.ADD_LEAF:
+        return edges + [(u, new)]
+    if move.kind is MoveKind.SUBDIVIDE:
+        return [e for e in edges if e != (u, v)] + [(u, new), (v, new)]
+    return edges + [(u, v)]
+
+
+def test_children_match_hand_built_children_and_know_they_are_connected():
+    # children builds each child straight from g's adjacency, without
+    # apply_move; each child is checked against the validated constructor.
+    rng = random.Random(41)
+    checked = 0
+    for n in range(1, 13):
+        for _ in range(3):
+            tree, connected = random_tree(n, rng), random_connected_graph(n, rng)
+            for g, space in [(tree, SearchSpace.TREES), (tree, SearchSpace.CONNECTED),
+                             (connected, SearchSpace.CONNECTED)]:
+                kids = children(g, space)
+                moves = legal_moves(g, space)
+                assert len(kids) == len(moves)
+                for child, move in zip(kids, moves):
+                    assert child._connected is True and child.m == g.m + 1
+                    assert child._adj == rebuilt(child)._adj
+                    assert child._adj == Graph(child.n, _expected_child_edges(g, move))._adj
+                    checked += 1
+    assert checked > 2500
+    for bad in (Graph(4, [(0, 1), (2, 3)]), Graph(3)):
+        for space in SearchSpace:
+            with pytest.raises(GraphError, match="connected"):
+                children(bad, space)
+
+
 def test_children_of_a_disconnected_graph_compute_connectivity():
     two_edges = Graph(4, [(0, 1), (2, 3)])
     assert not two_edges.is_connected() and two_edges._connected is False

@@ -13,7 +13,7 @@ import pytest
 from conftest import random_connected_graph
 from graphrefute import oracles
 from graphrefute.graphs import (
-    Graph, all_pairs_distances, complete, cycle, path, random_tree, star,
+    Graph, all_pairs_distances, complete, cycle, path, random_tree, star, walk_distances,
 )
 from graphrefute.invariants import (
     PerformanceWarning,
@@ -252,6 +252,37 @@ def test_matrices_match_per_edge_fill():
         # A float stack holds the int matrix's bits: no -0.0 anywhere.
         for build in (adjacency_matrix, laplacian_matrix):
             assert build([g])[0].tobytes() == build(g).astype(np.float64).tobytes()
+
+
+def test_stacks_equal_single_graph_matrices_bit_for_bit():
+    # Several trees and several non-trees of one order, stacked apart and
+    # together (a mixed stack takes the BFS for its trees too). Each layer of
+    # a stack holds its graph's own matrix bytes, and each spectrum of a
+    # stack is its matrix's own, value and bound.
+    rng = random.Random(43)
+    for n in range(2, 31):
+        trees = [random_tree(n, rng) for _ in range(3)]
+        others = [random_connected_graph(n, rng, 0.3) for _ in range(3)]
+        others = [g for g in others if g.m != n - 1]
+        for graphs in (trees, others, trees + others):
+            if not graphs:
+                continue
+            stacks = {build: build(graphs) for build in
+                      (adjacency_matrix, laplacian_matrix, all_pairs_distances)}
+            adjacency = stacks[adjacency_matrix]
+            assert laplacian_matrix(adjacency).tobytes() == stacks[laplacian_matrix].tobytes()
+            if graphs is not trees:
+                assert walk_distances(adjacency).tobytes() == stacks[all_pairs_distances].tobytes()
+            for build, stack in stacks.items():
+                assert stack.dtype == np.float64 and stack.shape == (len(graphs), n, n)
+                for g, layer in zip(graphs, stack):
+                    assert layer.tobytes() == build(g).astype(np.float64).tobytes()
+                for descending in (True, False):
+                    batch = symmetric_spectrum(stack, descending=descending)
+                    for layer, sp in zip(stack, batch):
+                        alone = symmetric_spectrum(layer, descending=descending)
+                        assert sp.values == alone.values
+                        assert sp.residual_bound == alone.residual_bound
 
 
 def test_matching_number_needs_blossoms():
