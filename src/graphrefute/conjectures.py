@@ -22,8 +22,6 @@ from .graphs import Graph, SearchSpace, all_pairs_distances, walk_distances
 
 NEG_INF = float("-inf")
 
-_MACH_EPS = 2.0 ** -52
-
 # verify_strict escalates to arbitrary precision only below this order;
 # larger borderline cases are reported as Uncertain.
 MP_MAX_ORDER = 64
@@ -197,7 +195,7 @@ def _slop(*terms: float) -> float:
     scale = 1.0
     for t in terms:
         scale += abs(t)
-    return 32.0 * _MACH_EPS * scale
+    return 32.0 * inv._EPS * scale
 
 
 def check_hypotheses(conjecture_id: int, g: Graph) -> list[str]:
@@ -220,13 +218,15 @@ def check_hypotheses(conjecture_id: int, g: Graph) -> list[str]:
 
 
 class _Arithmetic:
-    """The numbers a score formula is evaluated in.
+    """The numbers a score formula is evaluated in, over a chunk of graphs
+    of one order.
 
-    ``matrix(g, build)`` is g's float matrix from a builder such as
-    `all_pairs_distances`, ``spectrum(g, build, descending)`` its eigenvalues,
-    and ``num`` turns an int or Fraction into a number of this arithmetic.
-    Each score formula is written once against these. Its copy ``over(chunk)``
-    serves graphs of one order from one stack each; others are chunks of one.
+    ``matrix(g, build)`` is chunk member g's float matrix from a builder such
+    as `all_pairs_distances`, ``spectrum(g, build)`` its ascending
+    eigenvalues, and ``num`` turns an int or Fraction into a number of this
+    arithmetic. Each score formula is written once against these. The
+    templates below hold no chunk: ``over(chunk)`` makes the copy that
+    serves one, from one stack per builder.
     """
 
     def __init__(self, solve, sqrt, cos, pi, fsum, num, chunk=()):
@@ -238,21 +238,12 @@ class _Arithmetic:
         return _Arithmetic(self.solve, self.sqrt, self.cos, self.pi, self.fsum, self.num, chunk)
 
     def matrix(self, g: Graph, build):
-        i = self._at.get(id(g))
-        if i is None:
-            return self.over([g]).matrix(g, build)
-        return self._stack(build)[i]
+        return self._stack(build)[self._at[id(g)]]
 
-    def spectrum(self, g: Graph, build, descending: bool) -> inv.Spectrum:
-        i = self._at.get(id(g))
-        if i is None:
-            return self.over([g]).spectrum(g, build, descending)
-        if (build, descending) not in self._done:
-            self._done[build, descending] = self.solve(self._stack(build), descending)
-        sp = self._done[build, descending][i]
-        if isinstance(sp, inv.NumericError):
-            raise sp
-        return sp
+    def spectrum(self, g: Graph, build) -> inv.Spectrum:
+        if ("spectrum", build) not in self._done:
+            self._done["spectrum", build] = self.solve(self._stack(build))
+        return self._done["spectrum", build][self._at[id(g)]]
 
     def _stack(self, build):
         # One adjacency stack per chunk: Laplacians and non-tree distances derive from it.
@@ -267,23 +258,21 @@ class _Arithmetic:
 
 
 def _floats(polish: bool) -> _Arithmetic:
-    def solve(stack, descending: bool) -> list:
-        return inv.symmetric_spectrum(stack, descending=descending, polish=polish)
-
-    return _Arithmetic(solve, math.sqrt, math.cos, math.pi, math.fsum, float)
+    return _Arithmetic(lambda stack: inv.symmetric_spectrum(stack, polish=polish),
+                       math.sqrt, math.cos, math.pi, math.fsum, float)
 
 
-def _mp_solve(stack, descending: bool) -> list[inv.Spectrum]:
+def _mp_spectra(stack) -> list[inv.Spectrum]:
     # No bound of its own: verify_strict reads only the value, against its zero band.
-    return [inv.Spectrum(tuple(sorted(mp.eigsy(mp.matrix(m.tolist()), eigvals_only=True),
-                                      reverse=descending)), 0.0) for m in stack]
+    return [inv.Spectrum(tuple(sorted(mp.eigsy(mp.matrix(m.tolist()), eigvals_only=True))), 0.0)
+            for m in stack]
 
 
 _FAST = _floats(polish=False)
 _POLISHED = _floats(polish=True)
 # Evaluate inside mp.workdps(_MP_DPS).
 _DIGITS60 = _Arithmetic(
-    _mp_solve, mp.sqrt, mp.cos, mp.pi, mp.fsum,
+    _mp_spectra, mp.sqrt, mp.cos, mp.pi, mp.fsum,
     lambda q: mp.mpf(q.numerator) / q.denominator,
 )
 # Matrix elements per stack in a `score` chunk, 256 KiB of float64 at most.
@@ -291,8 +280,8 @@ _CHUNK_ELEMENTS = 1 << 15
 
 
 def _score_1(g: Graph, ar: _Arithmetic) -> Score:
-    sp = ar.spectrum(g, inv.adjacency_matrix, descending=True)
-    lam = sp.values[0]
+    sp = ar.spectrum(g, inv.adjacency_matrix)
+    lam = sp.values[-1]
     mu = inv.matching_number(g)
     root = ar.sqrt(g.n - 1)
     value = root + 1.0 - lam - mu
@@ -309,8 +298,8 @@ def _score_2(g: Graph, ar: _Arithmetic) -> Score:
     if k < 1:
         return _undefined("floor(2*diameter/3) < 1")
     prox = inv.proximity(dist)
-    sp = ar.spectrum(g, all_pairs_distances, descending=True)
-    partial = sp.values[k - 1]
+    sp = ar.spectrum(g, all_pairs_distances)
+    partial = sp.values[-k]
     value = -ar.num(prox) - partial
     err = sp.residual_bound + _slop(ar.num(prox), partial)
     return Score(value, None, err, {
@@ -331,8 +320,8 @@ def _score_3(g: Graph, ar: _Arithmetic) -> Score:
 def _score_4(g: Graph, ar: _Arithmetic) -> Score:
     if g.n < 2:
         return _undefined("lambda_2 needs at least 2 vertices")
-    sp = ar.spectrum(g, inv.adjacency_matrix, descending=True)
-    lam2 = sp.values[1]
+    sp = ar.spectrum(g, inv.adjacency_matrix)
+    lam2 = sp.values[-2]
     h = inv.harmonic(g)
     value = lam2 - ar.num(h)
     err = sp.residual_bound + _slop(lam2, ar.num(h))
@@ -361,8 +350,8 @@ def _score_6(g: Graph, ar: _Arithmetic) -> Score:
 
 
 def _score_7(g: Graph, ar: _Arithmetic) -> Score:
-    sp = ar.spectrum(g, inv.adjacency_matrix, descending=True)
-    lam = sp.values[0]
+    sp = ar.spectrum(g, inv.adjacency_matrix)
+    lam = sp.values[-1]
     prox = inv.proximity(ar.matrix(g, all_pairs_distances))
     value = lam * ar.num(prox) - g.n + 1
     err = sp.residual_bound * ar.num(prox) + _slop(lam * ar.num(prox), g.n)
@@ -379,7 +368,7 @@ def _cosine_bound(n: int, ar: _Arithmetic):
 
 
 def _score_8(g: Graph, ar: _Arithmetic) -> Score:
-    sp = ar.spectrum(g, inv.laplacian_matrix, descending=False)
+    sp = ar.spectrum(g, inv.laplacian_matrix)
     a = sp.values[1]
     prox = inv.proximity(ar.matrix(g, all_pairs_distances))
     bound = _cosine_bound(g.n, ar)
@@ -392,8 +381,8 @@ def _score_8(g: Graph, ar: _Arithmetic) -> Score:
 
 
 def _score_9(g: Graph, ar: _Arithmetic) -> Score:
-    sp = ar.spectrum(g, inv.adjacency_matrix, descending=True)
-    lam = sp.values[0]
+    sp = ar.spectrum(g, inv.adjacency_matrix)
+    lam = sp.values[-1]
     alpha = inv.independence_number(g)
     root = ar.sqrt(g.n - 1)
     value = root - g.n + 1.0 - lam + alpha
@@ -409,7 +398,7 @@ def _score_10(g: Graph, ar: _Arithmetic) -> Score:
     alpha = inv.independence_number(g)
     root = ar.sqrt(g.n - 1)
     value = r + alpha - g.n + 1.0 - root
-    err = _slop(r, alpha, g.n, root) + 8.0 * _MACH_EPS * g.m
+    err = _slop(r, alpha, g.n, root) + 8.0 * inv._EPS * g.m
     return Score(value, None, err, {
         "n": g.n, "randic": r, "alpha": alpha, "sqrt(n-1)": root,
     })
@@ -443,7 +432,9 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
     scores all its members that meet the hypotheses, in chunks of one order
     and at most _CHUNK_ELEMENTS matrix elements, each with one stack,
     distance sweep and eigvalsh; any other graph is a brood of one. A member
-    that raises gets no memo: it raises at its own call, and at every later one.
+    whose scorer raises in the batch, for itself or for a stack its chunk
+    shares, gets no memo there: it is scored alone at its own call, and g at
+    once. A graph that raises alone raises at every call.
     """
     memo = g._score or g._sibling and g._sibling._score
     if not polish and memo and memo[0] == conjecture_id:
@@ -453,15 +444,15 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
         raise HypothesisError(
             f"conjecture {conjecture_id}: " + "; ".join(spec_violations)
         )
+    scorer = _SCORERS[conjecture_id]
     if polish:
-        return _SCORERS[conjecture_id](g, _POLISHED.over([g]))
+        return scorer(g, _POLISHED.over([g]))
     # This call clears the list on every member, so none has a memo yet.
     groups: dict[int, list[Graph]] = {g.n: [g]}
     for b in g._brood or ():
         object.__setattr__(b, "_brood", None)
         if b is not g and not check_hypotheses(conjecture_id, b):
             groups.setdefault(b.n, []).append(b)
-    scorer, failure = _SCORERS[conjecture_id], None
     for n, group in groups.items():
         size = max(1, _CHUNK_ELEMENTS // (n * n))
         for start in range(0, len(group), size):
@@ -469,10 +460,10 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
             for b in ar.chunk:
                 try:
                     object.__setattr__(b, "_score", (conjecture_id, scorer(b, ar)))
-                except Exception as exc:  # b raises it again at its own call
-                    failure = exc if b is g else failure
-    if failure is not None:
-        raise failure
+                except Exception:  # b is scored alone at its own call
+                    pass
+    if not (g._score and g._score[0] == conjecture_id):
+        object.__setattr__(g, "_score", (conjecture_id, scorer(g, _FAST.over([g]))))
     return g._score[1]
 
 

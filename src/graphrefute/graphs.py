@@ -320,7 +320,7 @@ def children(g: Graph, space: SearchSpace) -> list[Graph]:
     A level-1 search reads the list twice: for `playouts`, then for its loop.
     """
     pairs = _forward_pairs(g, space)
-    classes = _tree_classes(g) if space is SearchSpace.TREES else _twin_classes(g, pairs)
+    classes = (_tree_classes if space is SearchSpace.TREES else _twin_classes)(g, pairs)
     adj, m, out, first = g._adj, g.m + 1, [], {}
     for (u, v), cls in zip(pairs, classes):
         grown = list(adj)
@@ -334,8 +334,8 @@ def children(g: Graph, space: SearchSpace) -> list[Graph]:
     return out
 
 
-def _tree_classes(g: Graph) -> list[tuple[int, int]]:
-    """Each tree-space move's class, in `legal_moves` order.
+def _tree_classes(g: Graph, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Each tree-space move's class, one per `_forward_pairs` pair.
 
     A chain is a maximal path whose inner vertices have degree 2.
     Subdividing any of its edges, or adding a leaf at an end of it that is a
@@ -362,8 +362,8 @@ def _tree_classes(g: Graph) -> list[tuple[int, int]]:
                 cls = min(cls, (orbit[u], orbit[v]), (orbit[v], orbit[u]))
                 edges += [(u, v), (v, u)]
             chain.update(dict.fromkeys(edges, cls))
-    leaves = [chain[v, a[0]] if len(a) == 1 else (-1, orbit[v]) for v, a in enumerate(adj)]
-    return leaves + [chain[e] for e in g.edges()]
+    return [chain[u, v] if v >= 0 else chain[u, adj[u][0]] if len(adj[u]) == 1 else (-1, orbit[u])
+            for u, v in pairs]
 
 
 def _orbits(g: Graph) -> list[int]:

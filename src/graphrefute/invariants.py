@@ -56,10 +56,9 @@ def _check_size_guard(op: str, n: int) -> None:
 # -- matrices -----------------------------------------------------------------
 
 
-def laplacian_matrix(g: Graph | list[Graph] | np.ndarray) -> np.ndarray:
-    """D - A with D the diagonal degree matrix, typed as `adjacency_matrix`;
-    given an adjacency matrix or stack instead of g, typed as it."""
-    a = g if isinstance(g, np.ndarray) else adjacency_matrix(g)
+def laplacian_matrix(a: np.ndarray) -> np.ndarray:
+    """D - A for an adjacency matrix or stack A, typed as A, with D the
+    diagonal matrix of A's row sums."""
     n = a.shape[-1]
     # 0 - a, not -a: on floats -a stores -0.0, and LAPACK's Householder step
     # takes the sign of a zero, so the spectrum would move in its last bits.
@@ -83,16 +82,17 @@ class Spectrum:
     residual_bound: float
 
 
-def symmetric_spectrum(m: np.ndarray, *, descending: bool, polish: bool = False):
-    """Eigenvalues of a symmetric matrix with a certified error bound.
+def symmetric_spectrum(m: np.ndarray, *, polish: bool = False):
+    """Ascending eigenvalues of a symmetric matrix with a certified error bound.
 
     The fast path uses an a-priori backward-stability bound. With ``polish``
     the residual matrix of the computed eigenpairs is measured explicitly,
     which gives a much tighter bound for verification.
 
     ``m`` may also be a stack (k, n, n), which the fast path solves in one
-    LAPACK call. Each matrix keeps its own bound and gate: the result is a
-    list of each one's Spectrum, or of the NumericError it failed with.
+    LAPACK call; the result is then the list of each matrix's Spectrum, each
+    with its own bound and gate. Raises NumericError when the solver fails
+    or any matrix misses its gate.
     """
     a = np.asarray(m, dtype=np.float64)
     stack = a if a.ndim == 3 else a[None]
@@ -102,11 +102,12 @@ def symmetric_spectrum(m: np.ndarray, *, descending: bool, polish: bool = False)
     flat = stack.reshape(len(stack), 1, n * n)
     norms = np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel().tolist()
     try:
-        solved = None if polish else [(v, 0.0) for v in np.linalg.eigvalsh(stack).tolist()]
-    except np.linalg.LinAlgError:  # it names no culprit: solve each alone
-        solved = None
+        solved = [_polish(x) for x in stack] if polish else [
+            (v, 0.0) for v in np.linalg.eigvalsh(stack).tolist()]
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed to converge: {exc}") from None
     out, target = [], _POLISH_RESIDUAL_TARGET if polish else _FAST_RESIDUAL_TARGET
-    for (vals, quality), norm in zip(solved or [_solve(x, polish) for x in stack], norms):
+    for (vals, quality), norm in zip(solved, norms):
         if polish:
             # The bound adds the rounding incurred while evaluating the residual
             # itself (~ n*eps*norm), which grows with n and is not the solver's fault.
@@ -114,37 +115,27 @@ def symmetric_spectrum(m: np.ndarray, *, descending: bool, polish: bool = False)
         else:
             quality = bound = 10.0 * n * _EPS * norm
         if quality > target * max(1.0, norm):
-            vals = NumericError(f"eigenvalue residual {quality:.3e} above target", residual=quality)
-        out.append(vals if isinstance(vals, NumericError)
-                   else Spectrum(tuple(vals[::-1] if descending else vals), bound))
-    if a.ndim == 2 and isinstance(out[0], NumericError):
-        raise out[0]
+            raise NumericError(f"eigenvalue residual {quality:.3e} above target", residual=quality)
+        out.append(Spectrum(tuple(vals), bound))
     return out if a.ndim == 3 else out[0]
 
 
-def _solve(x: np.ndarray, polish: bool) -> tuple[list[float] | NumericError, float]:
-    """x's ascending eigenvalues and, polished, the measured solve quality
-    (else 0.0); or the NumericError the solve failed with, and nan."""
-    try:
-        if not polish:
-            return np.linalg.eigvalsh(x).tolist(), 0.0
-        vals, vecs = np.linalg.eigh(x)
-        resid = x @ vecs - vecs * vals
-        gram = vecs.T @ vecs - np.eye(len(x))
-    except np.linalg.LinAlgError as exc:
-        return NumericError(f"eigensolver failed to converge: {exc}"), math.nan
+def _polish(x: np.ndarray) -> tuple[list[float], float]:
+    """x's ascending eigenvalues and the measured quality of their solve."""
+    vals, vecs = np.linalg.eigh(x)
+    resid = x @ vecs - vecs * vals
+    gram = vecs.T @ vecs - np.eye(len(x))
     # Frobenius norms bound the 2-norms from above, and r / (1 - orth)
     # grows with both, so the bound stays valid without two SVDs.
     r, orth = math.sqrt(np.vdot(resid, resid)), math.sqrt(np.vdot(gram, gram))
     if orth >= 0.5:
-        return NumericError(f"eigenvector basis badly non-orthogonal ({orth:.3e})",
-                            residual=orth), math.nan
+        raise NumericError(f"eigenvector basis badly non-orthogonal ({orth:.3e})", residual=orth)
     return vals.tolist(), r / (1.0 - orth)
 
 
 def lambda1(g: Graph) -> float:
     """Spectral radius of the adjacency matrix."""
-    return symmetric_spectrum(adjacency_matrix(g), descending=True).values[0]
+    return symmetric_spectrum(adjacency_matrix(g)).values[-1]
 
 
 # -- exact characteristic polynomials ----------------------------------------

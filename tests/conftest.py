@@ -10,6 +10,7 @@ import random
 # chose a count. This must run before anything imports numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from graphrefute.conjectures import _FAST
 from graphrefute.graphs import Graph, complete, connect_at, path, random_tree, star
 
 
@@ -48,6 +49,12 @@ def from_networkx(h) -> Graph:
 def rebuilt(g: Graph) -> Graph:
     """A validated copy of g with nothing memoised, so is_connected walks it."""
     return Graph(g.n, g.edges())
+
+
+def alone(scorer, g: Graph):
+    """scorer's evaluation of a validated copy of g, scored as a chunk of one."""
+    h = rebuilt(g)
+    return scorer(h, _FAST.over([h]))
 
 
 def isomorphism(g: Graph, h: Graph) -> list[int] | None:

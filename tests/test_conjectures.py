@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    alone,
     clique_with_tail,
     random_connected_graph,
     rebuilt,
@@ -31,6 +32,7 @@ from graphrefute.conjectures import (
     verify_strict,
 )
 from graphrefute.families import build_family
+from graphrefute.invariants import NumericError
 from graphrefute.graphs import (
     Graph,
     SearchSpace,
@@ -290,7 +292,7 @@ def test_expansion_memos_equal_single_evaluations_bit_for_bit(cid):
             assert scored
             for child, sc in scored:
                 assert child._score == (cid, sc)
-                fresh = conjectures._SCORERS[cid](rebuilt(child), conjectures._FAST)
+                fresh = alone(conjectures._SCORERS[cid], child)
                 assert _same_bits(sc, fresh), (cid, n, sc, fresh)
 
 
@@ -312,7 +314,7 @@ def test_playout_memos_equal_single_evaluations_bit_for_bit(cid):
             assert scored
             for p, sc in scored:
                 assert p._score == (cid, sc) and p._brood is None
-                fresh = conjectures._SCORERS[cid](rebuilt(p), conjectures._FAST)
+                fresh = alone(conjectures._SCORERS[cid], p)
                 assert _same_bits(sc, fresh), (cid, n, depth, sc, fresh)
 
 
@@ -384,6 +386,46 @@ def test_a_failing_brood_member_raises_only_at_its_own_call(monkeypatch, first):
         with pytest.raises(HypothesisError):
             score(5, triangle)
     assert star_child._score is None and triangle._score is None
+
+
+def test_a_member_whose_chunk_fails_is_scored_alone(monkeypatch):
+    # eigvalsh fails on any stack that holds the marked member's adjacency
+    # matrix, so the first call's whole chunk fails with it. Each healthy
+    # member still scores its own evaluation, bit for bit; the marked one
+    # raises NumericError at each of its calls and never gets a memo.
+    parent = random_connected_graph(7, random.Random(18))
+    reps = [c for c in children(parent, SearchSpace.CONNECTED) if c._sibling is None]
+    marked = next(c for c in reps[1:] if c.n == reps[0].n)
+    marked_adjacency = graphs.adjacency_matrix(marked)
+    eigvalsh = np.linalg.eigvalsh
+
+    def failing(stack):
+        layers = stack.reshape(-1, *stack.shape[-2:])
+        if any(np.array_equal(m, marked_adjacency) for m in layers):
+            raise np.linalg.LinAlgError("planted")
+        return eigvalsh(stack)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    scorer = conjectures._SCORERS[7]
+    assert _same_bits(score(7, reps[0]), alone(scorer, reps[0]))
+    assert marked._score is None
+    for c in reps[1:]:
+        if c is not marked:
+            assert _same_bits(score(7, c), alone(scorer, c))
+    for _ in range(2):
+        with pytest.raises(NumericError):
+            score(7, marked)
+    assert marked._score is None
+
+
+def test_a_non_orthogonal_basis_fails_polished_scores_and_verify_strict(monkeypatch):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: (eigh(x)[0], np.ones_like(x)))
+    g = path(5)
+    for check in (lambda: score(7, g, polish=True), lambda: verify_strict(7, g)):
+        with pytest.raises(NumericError, match="non-orthogonal"):
+            check()
+    assert g._score is None
 
 
 def test_a_large_expansion_is_scored_in_bounded_chunks(monkeypatch):

@@ -16,6 +16,7 @@ from graphrefute.graphs import (
     Graph, all_pairs_distances, complete, cycle, path, random_tree, star, walk_distances,
 )
 from graphrefute.invariants import (
+    NumericError,
     PerformanceWarning,
     adjacency_char_poly,
     adjacency_matrix,
@@ -37,6 +38,11 @@ from graphrefute.invariants import (
 )
 
 
+def _laplacian(g):
+    """g's Laplacian, typed as `adjacency_matrix(g)`."""
+    return laplacian_matrix(adjacency_matrix(g))
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -47,45 +53,43 @@ def petersen() -> Graph:
 def test_matrices():
     g = path(3)
     assert adjacency_matrix(g).tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-    assert laplacian_matrix(g).tolist() == [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
+    assert _laplacian(g).tolist() == [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
     assert all_pairs_distances(g).tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
 
 def test_adjacency_spectrum_frozen_values():
-    s = symmetric_spectrum(adjacency_matrix(path(3)), descending=True)
-    assert s.values == pytest.approx((math.sqrt(2), 0.0, -math.sqrt(2)), abs=1e-12)
-    k = symmetric_spectrum(adjacency_matrix(complete(4)), descending=True)
-    assert k.values == pytest.approx((3.0, -1.0, -1.0, -1.0), abs=1e-12)
+    s = symmetric_spectrum(adjacency_matrix(path(3)))
+    assert s.values[::-1] == pytest.approx((math.sqrt(2), 0.0, -math.sqrt(2)), abs=1e-12)
+    k = symmetric_spectrum(adjacency_matrix(complete(4)))
+    assert k.values[::-1] == pytest.approx((3.0, -1.0, -1.0, -1.0), abs=1e-12)
     assert lambda1(star(5)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_spectrum_error_bounds():
-    fast = symmetric_spectrum(adjacency_matrix(path(30)), descending=True)
+    fast = symmetric_spectrum(adjacency_matrix(path(30)))
     assert 0 < fast.residual_bound <= 1e-10 * 30
-    polished = symmetric_spectrum(
-        adjacency_matrix(path(30)), descending=True, polish=True
-    )
+    polished = symmetric_spectrum(adjacency_matrix(path(30)), polish=True)
     assert polished.residual_bound <= 1e-12
     assert polished.values == pytest.approx(fast.values, abs=1e-9)
 
 
 def test_laplacian_spectrum_and_connectivity():
-    s = symmetric_spectrum(laplacian_matrix(complete(3)), descending=False)
+    s = symmetric_spectrum(_laplacian(complete(3)))
     assert s.values == pytest.approx((0.0, 3.0, 3.0), abs=1e-12)
     # Algebraic connectivity: the second smallest Laplacian eigenvalue.
-    lap = symmetric_spectrum(laplacian_matrix(path(2)), descending=False)
+    lap = symmetric_spectrum(_laplacian(path(2)))
     assert lap.values[1] == pytest.approx(2.0, abs=1e-12)
     # lambda_2 of the adjacency matrix, not the Laplacian.
-    adj = symmetric_spectrum(adjacency_matrix(path(3)), descending=True)
-    assert adj.values[1] == pytest.approx(0.0, abs=1e-12)
+    adj = symmetric_spectrum(adjacency_matrix(path(3)))
+    assert adj.values[-2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_distance_spectrum_descending():
-    s = symmetric_spectrum(all_pairs_distances(path(3)), descending=True)
-    assert s.values[0] >= s.values[-1]
+    values = symmetric_spectrum(all_pairs_distances(path(3))).values[::-1]
+    assert values[0] >= values[-1]
     d = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     expected = sorted(np.linalg.eigvalsh(d), reverse=True)
-    assert s.values == pytest.approx(tuple(expected), abs=1e-12)
+    assert values == pytest.approx(tuple(expected), abs=1e-12)
 
 
 def test_char_poly_exact_frozen():
@@ -133,7 +137,7 @@ def test_char_poly_rejects_bad_input():
 def test_distance_char_poly_matches_floating_roots():
     g = random_tree(7, random.Random(1))
     cp = distance_char_poly(g)
-    for lam in symmetric_spectrum(all_pairs_distances(g), descending=True).values:
+    for lam in symmetric_spectrum(all_pairs_distances(g)).values:
         assert abs(cp(lam)) <= 1e-6 * (1 + abs(lam)) ** g.n
 
 
@@ -208,7 +212,7 @@ def test_degree_indices_match_per_edge_sums():
         )
 
 
-def _reference_spectrum(m, descending, polish):
+def _reference_spectrum(m, polish):
     """symmetric_spectrum's values and bound, written with np.linalg.norm and
     one float() per eigenvalue."""
     a = np.asarray(m, dtype=np.float64)
@@ -223,8 +227,7 @@ def _reference_spectrum(m, descending, polish):
     else:
         vals = np.linalg.eigvalsh(a)
         bound = 10.0 * n * eps * norm
-    ordered = vals[::-1] if descending else vals
-    return tuple(float(x) for x in ordered), bound
+    return tuple(float(x) for x in vals), bound
 
 
 def test_symmetric_spectrum_matches_reference_bit_for_bit():
@@ -232,13 +235,12 @@ def test_symmetric_spectrum_matches_reference_bit_for_bit():
     graphs = [random_tree(rng.randint(1, 60), rng) for _ in range(15)]
     graphs += [random_connected_graph(rng.randint(1, 40), rng) for _ in range(15)]
     for g in graphs:
-        for m in (adjacency_matrix(g), laplacian_matrix(g), all_pairs_distances(g)):
-            for descending in (True, False):
-                for polish in (False, True):
-                    sp = symmetric_spectrum(m, descending=descending, polish=polish)
-                    values, bound = _reference_spectrum(m, descending, polish)
-                    assert sp.values == values and sp.residual_bound == bound
-                    assert all(type(x) is float for x in sp.values)
+        for m in (adjacency_matrix(g), _laplacian(g), all_pairs_distances(g)):
+            for polish in (False, True):
+                sp = symmetric_spectrum(m, polish=polish)
+                values, bound = _reference_spectrum(m, polish)
+                assert sp.values == values and sp.residual_bound == bound
+                assert all(type(x) is float for x in sp.values)
 
 
 def test_matrices_match_per_edge_fill():
@@ -248,9 +250,9 @@ def test_matrices_match_per_edge_fill():
             a[u, v] = a[v, u] = 1
         assert adjacency_matrix(g).dtype == np.int64
         assert np.array_equal(adjacency_matrix(g), a)
-        assert np.array_equal(laplacian_matrix(g), np.diag(a.sum(axis=1)) - a)
+        assert np.array_equal(_laplacian(g), np.diag(a.sum(axis=1)) - a)
         # A float stack holds the int matrix's bits: no -0.0 anywhere.
-        for build in (adjacency_matrix, laplacian_matrix):
+        for build in (adjacency_matrix, _laplacian):
             assert build([g])[0].tobytes() == build(g).astype(np.float64).tobytes()
 
 
@@ -268,21 +270,42 @@ def test_stacks_equal_single_graph_matrices_bit_for_bit():
             if not graphs:
                 continue
             stacks = {build: build(graphs) for build in
-                      (adjacency_matrix, laplacian_matrix, all_pairs_distances)}
+                      (adjacency_matrix, _laplacian, all_pairs_distances)}
             adjacency = stacks[adjacency_matrix]
-            assert laplacian_matrix(adjacency).tobytes() == stacks[laplacian_matrix].tobytes()
+            assert laplacian_matrix(adjacency).tobytes() == stacks[_laplacian].tobytes()
             if graphs is not trees:
                 assert walk_distances(adjacency).tobytes() == stacks[all_pairs_distances].tobytes()
             for build, stack in stacks.items():
                 assert stack.dtype == np.float64 and stack.shape == (len(graphs), n, n)
                 for g, layer in zip(graphs, stack):
                     assert layer.tobytes() == build(g).astype(np.float64).tobytes()
-                for descending in (True, False):
-                    batch = symmetric_spectrum(stack, descending=descending)
-                    for layer, sp in zip(stack, batch):
-                        alone = symmetric_spectrum(layer, descending=descending)
-                        assert sp.values == alone.values
-                        assert sp.residual_bound == alone.residual_bound
+                batch = symmetric_spectrum(stack)
+                for layer, sp in zip(stack, batch):
+                    alone = symmetric_spectrum(layer)
+                    assert sp.values == alone.values
+                    assert sp.residual_bound == alone.residual_bound
+
+
+def _fail_to_converge(*args, **kwargs):
+    raise np.linalg.LinAlgError("planted")
+
+
+@pytest.mark.parametrize("graphs", [path(5), [path(5), star(5)]], ids=["matrix", "stack"])
+@pytest.mark.parametrize("polish", [False, True], ids=["eigvalsh", "eigh"])
+def test_a_failed_solve_raises_numeric_error(monkeypatch, polish, graphs):
+    # LAPACK's LinAlgError never escapes: a lone matrix and a stack both
+    # raise NumericError, the stack as a whole.
+    monkeypatch.setattr(np.linalg, "eigh" if polish else "eigvalsh", _fail_to_converge)
+    with pytest.raises(NumericError, match="failed to converge"):
+        symmetric_spectrum(adjacency_matrix(graphs), polish=polish)
+
+
+def test_a_non_orthogonal_basis_raises_numeric_error(monkeypatch):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: (eigh(x)[0], np.ones_like(x)))
+    with pytest.raises(NumericError, match="non-orthogonal") as info:
+        symmetric_spectrum(adjacency_matrix(path(5)), polish=True)
+    assert info.value.residual >= 0.5
 
 
 def test_matching_number_needs_blossoms():

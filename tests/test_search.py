@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import isomorphism, random_connected_graph, rebuilt
+from conftest import alone, isomorphism, random_connected_graph, rebuilt
 from graphrefute import cli, conjectures, graphs, search
 from graphrefute.conjectures import check_hypotheses, score
 from graphrefute.graphs import (
@@ -248,7 +248,7 @@ def test_amcs_trace_is_unchanged_by_the_score_memo(monkeypatch, cid, initial, pa
     shared = 0
     for (g, value), (_, fresh_value) in zip(seen, fresh_seen):
         # The copy run evaluates each labelled graph afresh.
-        assert fresh_value == scorer(rebuilt(g), conjectures._FAST).value
+        assert fresh_value == alone(scorer, g).value
         if g._sibling is not None:
             # A shared value is the sibling's: prove the sibling isomorphic,
             # by equal keys through one ids for trees and by an explicit
@@ -261,7 +261,7 @@ def test_amcs_trace_is_unchanged_by_the_score_memo(monkeypatch, cid, initial, pa
                 assert Graph(g.n, [(p[u], p[v]) for u, v in g.edges()]) == g._sibling
             g = g._sibling
             shared += 1
-        assert value == scorer(rebuilt(g), conjectures._FAST).value
+        assert value == alone(scorer, g).value
     assert 0 < shared and memo_evals < fresh_evals == len(seen)
 
 
