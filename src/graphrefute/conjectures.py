@@ -10,6 +10,7 @@ error bound so that `verify_strict` can certify the sign of the result.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -22,8 +23,8 @@ from .graphs import Graph, SearchSpace, all_pairs_distances, walk_distances
 
 NEG_INF = float("-inf")
 
-# verify_strict escalates to arbitrary precision only below this order;
-# larger borderline cases are reported as Uncertain.
+# A borderline score the exact arithmetic declines (c2, c8, non-trees, c10 on
+# two radicands) is escalated to 60 digits only up to this order.
 MP_MAX_ORDER = 64
 _MP_DPS = 60
 
@@ -224,9 +225,9 @@ class _Arithmetic:
     ``matrix(g, build)`` is chunk member g's float matrix from a builder such
     as `all_pairs_distances`, ``spectrum(g, build)`` its ascending
     eigenvalues, and ``num`` turns an int or Fraction into a number of this
-    arithmetic. Each score formula is written once against these. The
-    templates below hold no chunk: ``over(chunk)`` makes the copy that
-    serves one, from one stack per builder.
+    arithmetic. Each formula is written once against these: in floats, at 60
+    digits or exactly (`_Exact`). ``over(chunk)`` makes the copy that serves a
+    chunk: one stack and solve per builder, a failed solve failing every member.
     """
 
     def __init__(self, solve, sqrt, cos, pi, fsum, num, chunk=()):
@@ -242,8 +243,14 @@ class _Arithmetic:
 
     def spectrum(self, g: Graph, build) -> inv.Spectrum:
         if ("spectrum", build) not in self._done:
-            self._done["spectrum", build] = self.solve(self._stack(build))
-        return self._done["spectrum", build][self._at[id(g)]]
+            try:
+                self._done["spectrum", build] = self.solve(self._stack(build))
+            except ArithmeticError as exc:
+                self._done["spectrum", build] = exc
+        solved = self._done["spectrum", build]
+        if isinstance(solved, ArithmeticError):
+            raise solved
+        return solved[self._at[id(g)]]
 
     def _stack(self, build):
         # One adjacency stack per chunk: Laplacians and non-tree distances derive from it.
@@ -434,7 +441,7 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
     distance sweep and eigvalsh; any other graph is a brood of one. A member
     whose scorer raises in the batch, for itself or for a stack its chunk
     shares, gets no memo there: it is scored alone at its own call, and g at
-    once. A graph that raises alone raises at every call.
+    once, unless g was alone in its chunk, whose failure is then g's own.
     """
     memo = g._score or g._sibling and g._sibling._score
     if not polish and memo and memo[0] == conjecture_id:
@@ -461,7 +468,8 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
                 try:
                     object.__setattr__(b, "_score", (conjecture_id, scorer(b, ar)))
                 except Exception:  # b is scored alone at its own call
-                    pass
+                    if b is g and len(ar.chunk) == 1:
+                        raise  # that was g's own evaluation
     if not (g._score and g._score[0] == conjecture_id):
         object.__setattr__(g, "_score", (conjecture_id, scorer(g, _FAST.over([g]))))
     return g._score[1]
@@ -477,15 +485,132 @@ def is_counterexample(conjecture_id: int, g: Graph, tau: float = 1e-9) -> bool:
 # -- strict verification -------------------------------------------------------
 
 
+class _NotExact(ArithmeticError):
+    """The exact arithmetic cannot evaluate this score."""
+
+
+class _Surd:
+    """(p + q*sqrt(c))/d in lowest terms over the integers, d > 0, c squarefree
+    or 0 if no root was taken. Other operands count at their exact value, a
+    float's binary one too (formulas write 1.0); two radicands raise _NotExact."""
+
+    __slots__ = ("p", "d", "q", "c")
+
+    def __init__(self, p: int, d: int = 1, q: int = 0, c: int = 0):
+        g = math.gcd(p, q, d) if d > 0 else -math.gcd(p, q, d)
+        self.p, self.d, self.q, self.c = p // g, d // g, q // g, c
+
+    def _lift(self, x) -> _Surd:
+        if type(x) is not _Surd:
+            return _Surd(*x.as_integer_ratio())
+        if self.c and x.c and self.c != x.c:
+            raise _NotExact("two radicands")
+        return x
+
+    def __add__(self, x):
+        x = self._lift(x)
+        return _Surd(self.p * x.d + x.p * self.d, self.d * x.d,
+                     self.q * x.d + x.q * self.d, self.c or x.c)
+
+    def __mul__(self, x):
+        x = self._lift(x)
+        c = self.c or x.c
+        return _Surd(self.p * x.p + self.q * x.q * c, self.d * x.d,
+                     self.p * x.q + self.q * x.p, c)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __sub__(self, x):
+        return self + self._lift(x) * -1
+
+    def __truediv__(self, x):
+        # 1/x = d(p - q sqrt c)/(p^2 - q^2 c), whose norm is 0 only when x is.
+        x = self._lift(x)
+        return self * _Surd(x.d * x.p, x.p * x.p - x.q * x.q * x.c, -x.d * x.q, x.c)
+
+    def __pow__(self, e):
+        # sqrt(x) = s sqrt(c), c squarefree, and c10's x ** -0.5 = sqrt(x)/x.
+        if abs(e) != 0.5 or self.q or self.d != 1 or self.p < 0:
+            raise _NotExact("power")
+        s = max((f for f in range(1, math.isqrt(self.p) + 1) if self.p % (f * f) == 0), default=1)
+        c, d = self.p // (s * s), 1 if e > 0 else self.p
+        return _Surd(s * c, d) if c < 2 else _Surd(0, d, s, c)
+
+    def __abs__(self):
+        return self * self.sign()
+
+    def sign(self) -> int:
+        sp, sq = (self.p > 0) - (self.p < 0), (self.q > 0) - (self.q < 0)
+        if sp * sq >= 0:
+            return sp or sq
+        # Opposite signs: the larger of p^2 and q^2 c wins, and they differ.
+        return sp if self.p * self.p > self.q * self.q * self.c else sq
+
+
+class _Exact(_Arithmetic):
+    """_Surd on one tree, where each adjacency eigenvalue read is ``lam``, keyed
+    by index in ``read``. Other spectra, non-trees and cosines raise _NotExact."""
+
+    def __init__(self, g: Graph, lam: _Surd):
+        super().__init__(None, lambda x: _Surd(x) ** 0.5, self._declines, math.pi, sum,
+                         lambda x: _Surd(*x.as_integer_ratio()), [g])
+        self.read = defaultdict(lambda: lam)
+
+    def spectrum(self, g: Graph, build) -> inv.Spectrum:
+        if build is not inv.adjacency_matrix or not g.is_tree():
+            self._declines()
+        return inv.Spectrum(self.read, 0)
+
+    def _declines(self, *args):
+        raise _NotExact("no exact evaluation")
+
+
+def _tree_inertia(g: Graph, t: _Surd) -> tuple[int, int]:
+    """How many eigenvalues of tree g's adjacency A lie above t and at t, by Jacobs &
+    Trevisan's diagonalisation of A - tI (Linear Algebra Appl. 434, 2011)."""
+    order, parent = inv.bfs_tree(g)
+    start, leaf = t * -1, (t.p or t.q) and _Surd(1) / t  # a leaf adds -1/(-t)
+    diag, zero_child = [start] * g.n, [-1] * g.n
+    for v in reversed(order):
+        d = diag[v]
+        if zero_child[v] >= 0:
+            # That child becomes 2 and v becomes -1/2; v's edge up is cut.
+            diag[zero_child[v]], diag[v] = _Surd(2), _Surd(-1, 2)
+        elif v and not (d.p or d.q):
+            zero_child[parent[v]] = v
+        elif v:
+            diag[parent[v]] = diag[parent[v]] + (leaf if d is start else _Surd(-1) / d)
+    signs = [d.sign() for d in diag]
+    return signs.count(1), signs.count(0)
+
+
+def _exact_sign(conjecture_id: int, g: Graph) -> int | None:
+    """The sign of g's score in exact arithmetic, or None if that declines.
+
+    At lam = 0 and 1, a formula reading the k-th largest eigenvalue lam_k gives
+    a + b*lam_k, zero at t = -a/b, and an inertia count places lam_k against t."""
+    scorer = _SCORERS[conjecture_id]
+    try:
+        a = scorer(g, ar := _Exact(g, _Surd(0))).value
+        if not ar.read:
+            return a.sign()
+        b = scorer(g, _Exact(g, _Surd(1))).value - a
+        above, equal = _tree_inertia(g, a / b * -1)
+    except _NotExact:
+        return None
+    (i,) = ar.read  # each formula reads one eigenvalue
+    k = g.n - range(g.n)[i]
+    return b.sign() * (1 if above >= k else 0 if above + equal >= k else -1)
+
+
 def verify_strict(conjecture_id: int, g: Graph) -> Verdict:
     """Final arbiter for counterexample candidates.
 
     Hypotheses are re-checked; rational scores are decided by exact sign.
-    Spectral scores are recomputed with tight residual bounds, and when the
-    error band still straddles zero the score is re-evaluated at 60 digits,
-    which resolves boundary families that are exactly zero in exact
-    arithmetic. Uncertain is returned only when the graph is too large for
-    that escalation.
+    Spectral scores are recomputed with tight residual bounds. A band that
+    still straddles zero is decided exactly, at any order, for c1, c4, c7
+    and c9 on trees and c10 on one radicand (`_exact_sign`); anything else
+    is re-evaluated at 60 digits, or is Uncertain above MP_MAX_ORDER.
     """
     if check_hypotheses(conjecture_id, g):
         return Verdict.REJECTED
@@ -499,6 +624,9 @@ def verify_strict(conjecture_id: int, g: Graph) -> Verdict:
         return Verdict.CERTIFIED
     if sc.value + err < 0:
         return Verdict.REJECTED
+    sign = _exact_sign(conjecture_id, g)
+    if sign is not None:
+        return Verdict.CERTIFIED if sign > 0 else Verdict.REJECTED
     if g.n > MP_MAX_ORDER:
         return Verdict.UNCERTAIN
     with mp.workdps(_MP_DPS):

@@ -469,6 +469,17 @@ def independence_number(g: Graph) -> int:
 # -- domination number --------------------------------------------------------
 
 
+def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
+    """Connected g's vertices in BFS order from 0, and each one's parent (0's is 0)."""
+    order, parent = [0], [0] + [-1] * (g.n - 1)
+    for u in order:
+        for v in g.neighbors(u):
+            if parent[v] < 0:
+                parent[v] = u
+                order.append(v)
+    return order, parent
+
+
 def _domination_tree_dp(g: Graph) -> int:
     """Exact domination number of a tree by rooted dynamic programming.
 
@@ -479,16 +490,7 @@ def _domination_tree_dp(g: Graph) -> int:
     if n == 1:
         return 1
     inf = n + 1
-    parent = [-1] * n
-    order = [0]
-    seen = bytearray(n)
-    seen[0] = 1
-    for u in order:
-        for v in g.neighbors(u):
-            if not seen[v]:
-                seen[v] = 1
-                parent[v] = u
-                order.append(v)
+    order, parent = bfs_tree(g)
     taken = [0] * n
     dominated = [0] * n
     needs = [0] * n

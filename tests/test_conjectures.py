@@ -7,12 +7,14 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import (
     alone,
     clique_with_tail,
+    from_networkx,
     random_connected_graph,
     rebuilt,
     star_with_two_tails,
@@ -181,6 +183,59 @@ def test_verify_strict_60_digit_path(monkeypatch, cid, g, verdict):
     # from the 60-digit re-evaluation (or from the order limit on it).
     monkeypatch.setattr(conjectures, "_slop", lambda *terms: 1e6)
     assert verify_strict(cid, g) is verdict
+
+
+def test_verify_strict_decides_trees_exactly(monkeypatch):
+    # With the float band straddling zero everywhere, every tree verdict of
+    # c1, c4, c7 and c9 comes from the exact inertia count, and c10's from
+    # its sum when it has one radicand, else from 60 digits. Each must equal
+    # the verdict of the 60-digit re-evaluation against its 10^-45 band.
+    nx = pytest.importorskip("networkx")
+    monkeypatch.setattr(conjectures, "_slop", lambda *terms: 1e6)
+    zero_band = mp.mpf(10) ** -45
+    checked = 0
+    for n in range(2, 10):
+        for g in map(from_networkx, nx.nonisomorphic_trees(n)):
+            for cid in (1, 4, 7, 9, 10):
+                if check_hypotheses(cid, g):
+                    continue
+                with mp.workdps(60):
+                    refined = conjectures._SCORERS[cid](g, conjectures._DIGITS60.over([g])).value
+                expected = Verdict.CERTIFIED if refined > zero_band else Verdict.REJECTED
+                assert verify_strict(cid, g) is expected, (cid, list(g.edges()))
+                assert cid == 10 or conjectures._exact_sign(cid, g) is not None
+                checked += 1
+    assert checked == 466
+
+
+@pytest.mark.parametrize("cid", [9, 10])
+@pytest.mark.parametrize("n", [65, 66, 96, 128])
+def test_boundary_stars_are_rejected_above_the_60_digit_order(cid, n):
+    # Each star scores exactly 0 for c9 and c10, which no counterexample is.
+    assert verify_strict(cid, star(n)) is Verdict.REJECTED
+
+
+def test_boundary_trees_need_no_60_digit_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("60-digit eigensolve")
+
+    monkeypatch.setattr(mp, "eigsy", refuse)
+    assert verify_strict(9, star(64)) is Verdict.REJECTED
+    assert verify_strict(9, build_family("T2B", 8)) is Verdict.REJECTED
+
+
+def test_tree_inertia_counts_path_eigenvalues():
+    # P_n has eigenvalues 2cos(k pi/(n+1)), k = 1..n, in descending order.
+    # 2cos(a pi) is 0, +-1, +-sqrt 2, +-sqrt 3 at these fractions a.
+    r2, r3 = conjectures._Surd(2) ** 0.5, conjectures._Surd(3) ** 0.5
+    at = {Fraction(1, 2): conjectures._Surd(0), Fraction(1, 3): conjectures._Surd(1),
+          Fraction(2, 3): conjectures._Surd(-1), Fraction(1, 4): r2, Fraction(3, 4): r2 * -1,
+          Fraction(1, 6): r3, Fraction(5, 6): r3 * -1}
+    for n in range(1, 40):
+        for a, t in at.items():
+            above = sum(Fraction(k, n + 1) < a for k in range(1, n + 1))
+            equal = int((a * (n + 1)).denominator == 1)
+            assert conjectures._tree_inertia(path(n), t) == (above, equal), (n, a)
 
 
 def test_score_10_matches_direct_formula():
@@ -398,23 +453,29 @@ def test_a_member_whose_chunk_fails_is_scored_alone(monkeypatch):
     marked = next(c for c in reps[1:] if c.n == reps[0].n)
     marked_adjacency = graphs.adjacency_matrix(marked)
     eigvalsh = np.linalg.eigvalsh
+    failures = []
 
     def failing(stack):
         layers = stack.reshape(-1, *stack.shape[-2:])
         if any(np.array_equal(m, marked_adjacency) for m in layers):
+            failures.append(len(layers))
             raise np.linalg.LinAlgError("planted")
         return eigvalsh(stack)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
     scorer = conjectures._SCORERS[7]
     assert _same_bits(score(7, reps[0]), alone(scorer, reps[0]))
+    # The chunk's one failed solve is raised for each of its members.
+    assert len(failures) == 1 and failures[0] > 1
     assert marked._score is None
     for c in reps[1:]:
         if c is not marked:
             assert _same_bits(score(7, c), alone(scorer, c))
-    for _ in range(2):
+    for calls in (2, 3):
         with pytest.raises(NumericError):
             score(7, marked)
+        # Now a brood of one, it fails once per call.
+        assert len(failures) == calls
     assert marked._score is None
 
 
