@@ -299,13 +299,14 @@ def _score_1(g: Graph, ar: _Arithmetic) -> Score:
 
 
 def _score_2(g: Graph, ar: _Arithmetic) -> Score:
+    # The spectrum first: the exact arithmetic declines it before any build.
+    sp = ar.spectrum(g, all_pairs_distances)
     dist = ar.matrix(g, all_pairs_distances)
     diam = int(dist.max())
     k = (2 * diam) // 3
     if k < 1:
         return _undefined("floor(2*diameter/3) < 1")
     prox = inv.proximity(dist)
-    sp = ar.spectrum(g, all_pairs_distances)
     partial = sp.values[-k]
     value = -ar.num(prox) - partial
     err = sp.residual_bound + _slop(ar.num(prox), partial)
@@ -400,8 +401,7 @@ def _score_9(g: Graph, ar: _Arithmetic) -> Score:
 
 
 def _score_10(g: Graph, ar: _Arithmetic) -> Score:
-    # The Randic index, (d_u d_v)^(-1/2) summed over edges.
-    r = ar.fsum(ar.num(g.degree(u) * g.degree(v)) ** -0.5 for u, v in g.edges())
+    r = inv.randic(g, ar.num, ar.fsum)
     alpha = inv.independence_number(g)
     root = ar.sqrt(g.n - 1)
     value = r + alpha - g.n + 1.0 - root

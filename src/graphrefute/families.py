@@ -15,8 +15,9 @@ Three tree families generalize isolated counterexamples into infinite ones:
 Each family declares its closed forms once, in ``FAMILIES``: a quantity
 maps to the least parameter its form is proven from and the form itself,
 exact (Fraction/int) for rational quantities and a float for algebraic
-ones. ``closed_form`` looks a form up; ``verify_family`` recomputes every
-declared quantity from scratch and reports any mismatch.
+ones. ``closed_form`` looks a form up; ``verify_family`` scores each member
+once per conjecture the family refutes, reads every declared quantity off
+those scores and reports any mismatch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from . import invariants as inv
 from .conjectures import score
 from .graphs import Graph
 
@@ -67,17 +67,17 @@ class FamilySpec:
     order_formula: str
     build: Callable[[int], Graph]
     # quantity -> (least parameter the form is proven from, form). A name
-    # ``s<id>`` is the score of conjecture id; any other is in _INVARIANTS.
+    # ``s<id>`` is the score of conjecture id; any other, the score part _PARTS names.
     quantities: dict[str, tuple[int, Callable[[int], object]]]
     conjecture_ids: tuple[int, ...]
 
 
-_INVARIANTS = {
-    "mM2": inv.modified_second_zagreb,
-    "gamma": inv.domination_number,
-    "lambda1": inv.lambda1,
-    "randic": inv.randic,
-    "alpha": inv.independence_number,
+_PARTS = {
+    "mM2": "modified_second_zagreb",
+    "gamma": "domination_number",
+    "lambda1": "lambda_1",
+    "randic": "randic",
+    "alpha": "alpha",
 }
 
 FAMILIES: dict[str, FamilySpec] = {
@@ -219,24 +219,27 @@ def _check_monotone(report: FamilyReport, quantity: str, pairs: list[tuple[int, 
 
 
 def verify_family(name: str, params: list[int]) -> FamilyReport:
-    """Recompute invariants of family members and compare to closed forms."""
+    """Score family members and compare their quantities to closed forms."""
     spec = get_family(name)
     report = FamilyReport(name)
     params = sorted(set(params))
     if not params:
         raise FamilyError("verify_family needs at least one parameter")
-    scores = {f"s{cid}": (cid, []) for cid in spec.conjecture_ids}
+    pairs: dict[str, list[tuple[int, float]]] = {f"s{cid}": [] for cid in spec.conjecture_ids}
     for p in params:
         g = build_family(name, p)
+        values = {}  # each score's parts and the score itself, as s<id>
+        for cid in spec.conjecture_ids:
+            s = score(cid, g)
+            values.update(s.parts, **{f"s{cid}": s.value if s.exact is None else s.exact})
         for quantity, (floor, form) in spec.quantities.items():
+            key = _PARTS.get(quantity, quantity)
+            if key not in values:
+                raise FamilyError(f"no score of family {name} holds quantity {quantity!r}")
+            computed = values[key]
+            if quantity in pairs:
+                pairs[quantity].append((p, float(computed)))
             expected = form(p) if p >= floor else _SMALL_MEMBER_SCORES.get((name, quantity, p))
-            if quantity in scores:
-                cid, pairs = scores[quantity]
-                s = score(cid, g)
-                computed = s.value if s.exact is None else s.exact
-                pairs.append((p, float(computed)))
-            elif expected is not None:
-                computed = _INVARIANTS[quantity](g)
             if expected is None:
                 continue
             if isinstance(expected, float):
@@ -244,7 +247,7 @@ def verify_family(name: str, params: list[int]) -> FamilyReport:
             else:
                 ok = expected == computed
             report.checks.append(FamilyCheck(quantity, p, expected, computed, ok))
-    for quantity, (_, pairs) in scores.items():
-        if len(pairs) > 1:
-            _check_monotone(report, quantity, pairs)
+    for quantity, member_pairs in pairs.items():
+        if len(member_pairs) > 1:
+            _check_monotone(report, quantity, member_pairs)
     return report

@@ -15,7 +15,6 @@ import warnings
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -26,8 +25,7 @@ _EPS = float(np.finfo(np.float64).eps)
 # The exponential solvers warn above this order; they still run to completion.
 SIZE_GUARD = 64
 
-# Residual targets, relative to the matrix norm.
-_FAST_RESIDUAL_TARGET = 1e-10
+# The polished residual target, relative to the matrix norm.
 _POLISH_RESIDUAL_TARGET = 1e-13
 
 
@@ -91,8 +89,8 @@ def symmetric_spectrum(m: np.ndarray, *, polish: bool = False):
 
     ``m`` may also be a stack (k, n, n), which the fast path solves in one
     LAPACK call; the result is then the list of each matrix's Spectrum, each
-    with its own bound and gate. Raises NumericError when the solver fails
-    or any matrix misses its gate.
+    with its own bound. Raises NumericError when the solver fails or, with
+    ``polish``, any matrix misses the residual target.
     """
     a = np.asarray(m, dtype=np.float64)
     stack = a if a.ndim == 3 else a[None]
@@ -106,16 +104,16 @@ def symmetric_spectrum(m: np.ndarray, *, polish: bool = False):
             (v, 0.0) for v in np.linalg.eigvalsh(stack).tolist()]
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from None
-    out, target = [], _POLISH_RESIDUAL_TARGET if polish else _FAST_RESIDUAL_TARGET
+    out = []
     for (vals, quality), norm in zip(solved, norms):
         if polish:
+            if quality > _POLISH_RESIDUAL_TARGET * max(1.0, norm):
+                raise NumericError(f"eigenvalue residual {quality:.3e} above target", residual=quality)
             # The bound adds the rounding incurred while evaluating the residual
             # itself (~ n*eps*norm), which grows with n and is not the solver's fault.
             bound = quality + 4.0 * n * _EPS * norm
         else:
-            quality = bound = 10.0 * n * _EPS * norm
-        if quality > target * max(1.0, norm):
-            raise NumericError(f"eigenvalue residual {quality:.3e} above target", residual=quality)
+            bound = 10.0 * n * _EPS * norm
         out.append(Spectrum(tuple(vals), bound))
     return out if a.ndim == 3 else out[0]
 
@@ -131,11 +129,6 @@ def _polish(x: np.ndarray) -> tuple[list[float], float]:
     if orth >= 0.5:
         raise NumericError(f"eigenvector basis badly non-orthogonal ({orth:.3e})", residual=orth)
     return vals.tolist(), r / (1.0 - orth)
-
-
-def lambda1(g: Graph) -> float:
-    """Spectral radius of the adjacency matrix."""
-    return symmetric_spectrum(adjacency_matrix(g)).values[-1]
 
 
 # -- exact characteristic polynomials ----------------------------------------
@@ -161,36 +154,17 @@ class CharPoly:
         return acc
 
 
-def char_poly_exact(m: Sequence[Sequence[int]] | np.ndarray) -> CharPoly:
-    """Characteristic polynomial det(xI - M) by the Berkowitz method.
+def char_poly_exact(m: np.ndarray) -> CharPoly:
+    """Characteristic polynomial det(xI - M) of a square int64 matrix, such as
+    `adjacency_char_poly` and `distance_char_poly` build from a graph, by the
+    Berkowitz method.
 
-    Division-free, so integer matrices give exact integer coefficients of
-    any magnitude. Requires a square symmetric integer matrix.
+    Division-free, so the coefficients are exact integers of any magnitude.
     """
-    raw = m.tolist() if isinstance(m, np.ndarray) else [list(row) for row in m]
-    n = len(raw)
-    if n == 0 or any(len(row) != n for row in raw):
-        raise GraphError("char_poly_exact requires a nonempty square matrix")
-    rows: list[list[int]] = []
-    for row in raw:
-        out = []
-        for x in row:
-            if isinstance(x, float):
-                if not x.is_integer():
-                    raise GraphError(f"char_poly_exact requires integer entries, got {x}")
-                x = int(x)
-            elif not isinstance(x, int):
-                raise GraphError(f"char_poly_exact requires integer entries, got {x!r}")
-            out.append(x)
-        rows.append(out)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise GraphError("char_poly_exact requires a symmetric matrix")
-
+    rows = m.tolist()
     # p holds the char poly of the leading k x k block, highest degree first.
-    p = [1, -rows[0][0]]
-    for k in range(1, n):
+    p = [1]
+    for k in range(len(rows)):
         a = rows[k][k]
         row_k = rows[k][:k]
         vec = [rows[i][k] for i in range(k)]
@@ -266,32 +240,23 @@ def proximity(dist: np.ndarray) -> Fraction:
 # -- degree-based indices -----------------------------------------------------
 
 
-def randic_general(g: Graph, alpha: float) -> float:
-    """Sum of (deg(u) * deg(v))**alpha over edges."""
-    return math.fsum((g.degree(u) * g.degree(v)) ** alpha for u, v in g.edges())
+def randic(g: Graph, num=float, fsum=math.fsum):
+    """Randic index, (deg(u) * deg(v))**-1/2 summed over edges, in the
+    arithmetic of ``num``, which converts an int, and ``fsum``: floats by
+    default, or a score's 60-digit or exact numbers."""
+    adj = g._adj
+    deg = list(map(len, adj))
+    return fsum(num(deg[u] * deg[v]) ** -0.5 for u, nbrs in enumerate(adj) for v in nbrs if v > u)
 
 
-def randic_general_exact(g: Graph, alpha: int) -> Fraction:
-    """Exact general Randic index for integer exponents, summed per distinct
+def modified_second_zagreb(g: Graph) -> Fraction:
+    """Sum of 1 / (deg(u) * deg(v)) over edges, exact, summed per distinct
     degree product over one common denominator."""
     adj = g._adj
     deg = list(map(len, adj))
     products = Counter(deg[u] * deg[v] for u, nbrs in enumerate(adj) for v in nbrs if v > u)
-    if alpha >= 0:
-        return Fraction(sum(k * p**alpha for p, k in products.items()))
-    powers = {p**-alpha: k for p, k in products.items()}
-    den = math.lcm(*powers)
-    return Fraction(sum(k * (den // q) for q, k in powers.items()), den)
-
-
-def randic(g: Graph) -> float:
-    """Classic Randic index, exponent -1/2."""
-    return randic_general(g, -0.5)
-
-
-def modified_second_zagreb(g: Graph) -> Fraction:
-    """Sum of 1 / (deg(u) * deg(v)) over edges, exact."""
-    return randic_general_exact(g, -1)
+    den = math.lcm(*products)
+    return Fraction(sum(k * (den // p) for p, k in products.items()), den)
 
 
 def harmonic(g: Graph) -> Fraction:

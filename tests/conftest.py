@@ -12,6 +12,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from graphrefute.conjectures import _FAST
 from graphrefute.graphs import Graph, complete, connect_at, path, random_tree, star
+from graphrefute.invariants import adjacency_matrix, symmetric_spectrum
+
+
+def lambda1(g: Graph) -> float:
+    """Spectral radius of g's adjacency matrix."""
+    return symmetric_spectrum(adjacency_matrix(g)).values[-1]
 
 
 def star_with_two_tails(star_order: int, tail_a: int, tail_b: int) -> Graph:

@@ -17,6 +17,7 @@ import pytest
 from conftest import (
     clique_with_tail,
     from_networkx,
+    lambda1,
     random_connected_graph,
     rebuilt,
     star_with_two_tails,
@@ -40,7 +41,6 @@ from graphrefute.invariants import (
     adjacency_matrix,
     domination_number,
     independence_number,
-    lambda1,
     laplacian_matrix,
     matching_number,
     modified_second_zagreb,

@@ -224,6 +224,18 @@ def test_boundary_trees_need_no_60_digit_solve(monkeypatch):
     assert verify_strict(9, build_family("T2B", 8)) is Verdict.REJECTED
 
 
+def test_a_declined_exact_c2_pass_builds_no_distances(monkeypatch):
+    # The exact arithmetic declines c2's distance spectrum before the formula
+    # builds anything, so the polished pass builds the only distance matrix.
+    calls = []
+    build = conjectures.all_pairs_distances
+    monkeypatch.setattr(conjectures, "all_pairs_distances",
+                        lambda gs: calls.append(gs) or build(gs))
+    monkeypatch.setattr(conjectures, "_slop", lambda *terms: 1e6)
+    assert verify_strict(2, star_with_two_tails(191, 7, 5)) is Verdict.UNCERTAIN
+    assert len(calls) == 1
+
+
 def test_tree_inertia_counts_path_eigenvalues():
     # P_n has eigenvalues 2cos(k pi/(n+1)), k = 1..n, in descending order.
     # 2cos(a pi) is 0, +-1, +-sqrt 2, +-sqrt 3 at these fractions a.

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from conftest import lambda1
+from graphrefute import invariants
 from graphrefute.families import (
     FAMILIES,
     FamilyError,
@@ -17,7 +22,7 @@ from graphrefute.families import (
     verify_family,
 )
 from graphrefute.graphs import path
-from graphrefute.invariants import domination_number, independence_number, lambda1
+from graphrefute.invariants import domination_number, independence_number
 
 
 def test_catalog():
@@ -118,6 +123,30 @@ def test_verify_family_monotone_tail():
     assert closed_form("T2B", "s9", 9) > 0
     assert closed_form("T2B", "s10", 4) < 0
     assert closed_form("T2B", "s10", 5) > 0
+
+
+def test_a_family_member_computes_each_invariant_once(monkeypatch):
+    # Every quantity is read off the member's scores: gamma and lambda_1 come
+    # from one score each, and alpha from each of T2B's two.
+    calls = Counter()
+    for owner, name in ((invariants, "domination_number"),
+                        (invariants, "independence_number"), (np.linalg, "eigvalsh")):
+        f = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, name=name, f=f: calls.update([name]) or f(*args))
+    verify_family("T2", list(range(1, 11)))
+    assert calls == {"domination_number": 10}
+    calls.clear()
+    verify_family("T2B", list(range(1, 11)))
+    assert calls == {"eigvalsh": 10, "independence_number": 20}
+
+
+def test_a_quantity_no_score_holds_is_named(monkeypatch):
+    t1 = FAMILIES["T1"]
+    quantities = {**t1.quantities, "gamma": (1, lambda k: 2 * k)}
+    monkeypatch.setitem(FAMILIES, "T1", dataclasses.replace(t1, quantities=quantities))
+    with pytest.raises(FamilyError, match="'gamma'"):
+        verify_family("T1", [2])
 
 
 def test_verify_family_rejects_bad_params():

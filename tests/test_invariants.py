@@ -7,10 +7,11 @@ import random
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph
+from conftest import lambda1, random_connected_graph
 from graphrefute import oracles
 from graphrefute.graphs import (
     Graph, all_pairs_distances, complete, cycle, path, random_tree, star, walk_distances,
@@ -25,15 +26,12 @@ from graphrefute.invariants import (
     domination_number,
     harmonic,
     independence_number,
-    lambda1,
     laplacian_matrix,
     matching_number,
     modified_second_zagreb,
     peak_stats,
     proximity,
     randic,
-    randic_general,
-    randic_general_exact,
     symmetric_spectrum,
 )
 
@@ -93,7 +91,7 @@ def test_distance_spectrum_descending():
 
 
 def test_char_poly_exact_frozen():
-    k2 = char_poly_exact([[0, 1], [1, 0]])
+    k2 = char_poly_exact(np.array([[0, 1], [1, 0]]))
     assert k2.coeffs == (-1, 0, 1)
     assert k2.degree == 2
     p3 = adjacency_char_poly(path(3))
@@ -123,15 +121,6 @@ def test_char_poly_trace_coefficients():
         assert cp.coeffs[-1] == 1
         assert cp.coeffs[-2] == 0
         assert cp.coeffs[-3] == -g.m
-
-
-def test_char_poly_rejects_bad_input():
-    with pytest.raises(ValueError):
-        char_poly_exact([[0, 1], [2, 0]])  # not symmetric
-    with pytest.raises(ValueError):
-        char_poly_exact(np.array([[0.5, 0.5], [0.5, 0.5]]))  # not integral
-    with pytest.raises(ValueError):
-        char_poly_exact([[0, 1]])  # not square
 
 
 def test_distance_char_poly_matches_floating_roots():
@@ -169,7 +158,6 @@ def test_diameter_and_proximity():
 
 
 def test_chemical_indices_frozen():
-    assert randic_general_exact(path(3), 1) == 4
     assert modified_second_zagreb(path(3)) == 1
     assert harmonic(path(3)) == Fraction(4, 3)
     assert randic(path(3)) == pytest.approx(math.sqrt(2), abs=1e-12)
@@ -178,14 +166,13 @@ def test_chemical_indices_frozen():
 
 
 def test_randic_general_matches_exact():
+    # The float sum against the same formula summed at 60 digits.
     rng = random.Random(6)
     for _ in range(10):
         g = random_connected_graph(7, rng)
-        zagreb = sum(g.degree(u) * g.degree(v) for u, v in g.edges())
-        assert randic_general_exact(g, 1) == zagreb
-        assert randic_general_exact(g, -1) == modified_second_zagreb(g)
-        assert randic_general(g, 1.0) == pytest.approx(float(zagreb), rel=1e-12)
-        assert randic_general(g, -0.5) == pytest.approx(randic(g), rel=1e-12)
+        with mp.workdps(60):
+            digits60 = randic(g, mp.mpf, mp.fsum)
+        assert randic(g) == pytest.approx(float(digits60), rel=1e-15)
 
 
 def _index_test_graphs():
@@ -203,10 +190,6 @@ def test_degree_indices_match_per_edge_sums():
         deg = [g.degree(v) for v in range(g.n)]
         edges = list(g.edges())
         assert harmonic(g) == sum((Fraction(2, deg[u] + deg[v]) for u, v in edges), Fraction(0))
-        for alpha in (-2, -1, 1, 2):
-            assert randic_general_exact(g, alpha) == sum(
-                (Fraction(deg[u] * deg[v]) ** alpha for u, v in edges), Fraction(0)
-            )
         assert modified_second_zagreb(g) == sum(
             (Fraction(1, deg[u] * deg[v]) for u, v in edges), Fraction(0)
         )
