@@ -17,7 +17,6 @@ from .conjectures import (
     Verdict,
     check_hypotheses,
     get_conjecture,
-    is_counterexample,
     score,
     verify_strict,
 )
@@ -60,8 +59,7 @@ __all__ = [
     "random_playout", "random_tree", "removable_vertices", "star",
     "Graph6Error", "decode_graph6", "encode_graph6", "export_dot",
     "REGISTRY", "ConjectureSpec", "HypothesisError", "Score", "Verdict",
-    "check_hypotheses", "get_conjecture", "is_counterexample", "score",
-    "verify_strict",
+    "check_hypotheses", "get_conjecture", "score", "verify_strict",
     "FAMILIES", "FamilyError", "FamilyReport", "FamilySpec", "build_family",
     "closed_form", "verify_family",
     "SearchParams", "SearchResult", "TraceRecord", "amcs", "nmcs", "prune",

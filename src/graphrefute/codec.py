@@ -67,7 +67,7 @@ def decode_graph6(text: str) -> Graph:
     if data[0] != 126:
         n = data[0] - 63
         pos = 1
-    elif len(data) >= 2 and data[1] != 126:
+    elif len(data) < 2 or data[1] != 126:
         if len(data) < 4:
             raise Graph6Error("truncated 4-byte order header", len(data))
         n = 0

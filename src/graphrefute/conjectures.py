@@ -19,7 +19,7 @@ from typing import Callable
 import mpmath as mp
 
 from . import invariants as inv
-from .graphs import Graph, SearchSpace, all_pairs_distances, walk_distances
+from .graphs import Graph, SearchSpace, all_pairs_distances, bfs_tree, walk_distances
 
 NEG_INF = float("-inf")
 
@@ -475,13 +475,6 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
     return g._score[1]
 
 
-def is_counterexample(conjecture_id: int, g: Graph, tau: float = 1e-9) -> bool:
-    """True when g meets the hypotheses and scores strictly above tau."""
-    if check_hypotheses(conjecture_id, g):
-        return False
-    return _SCORERS[conjecture_id](g, _FAST.over([g])).value > tau
-
-
 # -- strict verification -------------------------------------------------------
 
 
@@ -568,7 +561,7 @@ class _Exact(_Arithmetic):
 def _tree_inertia(g: Graph, t: _Surd) -> tuple[int, int]:
     """How many eigenvalues of tree g's adjacency A lie above t and at t, by Jacobs &
     Trevisan's diagonalisation of A - tI (Linear Algebra Appl. 434, 2011)."""
-    order, parent = inv.bfs_tree(g)
+    order, parent = bfs_tree(g)
     start, leaf = t * -1, (t.p or t.q) and _Surd(1) / t  # a leaf adds -1/(-t)
     diag, zero_child = [start] * g.n, [-1] * g.n
     for v in reversed(order):

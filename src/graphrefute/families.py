@@ -17,7 +17,7 @@ maps to the least parameter its form is proven from and the form itself,
 exact (Fraction/int) for rational quantities and a float for algebraic
 ones. ``closed_form`` looks a form up; ``verify_family`` scores each member
 once per conjecture the family refutes, reads every declared quantity off
-those scores and reports any mismatch.
+those scores and reports any mismatch with ``closed_form``.
 """
 
 from __future__ import annotations
@@ -232,14 +232,15 @@ def verify_family(name: str, params: list[int]) -> FamilyReport:
         for cid in spec.conjecture_ids:
             s = score(cid, g)
             values.update(s.parts, **{f"s{cid}": s.value if s.exact is None else s.exact})
-        for quantity, (floor, form) in spec.quantities.items():
+        for quantity, (floor, _) in spec.quantities.items():
             key = _PARTS.get(quantity, quantity)
             if key not in values:
                 raise FamilyError(f"no score of family {name} holds quantity {quantity!r}")
             computed = values[key]
             if quantity in pairs:
                 pairs[quantity].append((p, float(computed)))
-            expected = form(p) if p >= floor else _SMALL_MEMBER_SCORES.get((name, quantity, p))
+            expected = (closed_form(name, quantity, p) if p >= floor
+                        else _SMALL_MEMBER_SCORES.get((name, quantity, p)))
             if expected is None:
                 continue
             if isinstance(expected, float):

@@ -1,4 +1,5 @@
-"""Immutable simple graphs, search moves, and deterministic generators.
+"""Immutable simple graphs, search moves, deterministic generators, and the
+walks the invariants build on: ``bfs_tree`` from vertex 0 and distances.
 
 Vertices are always labeled 0..n-1 and edges are unordered pairs of distinct
 vertices. Every mutating operation returns a fresh graph, which keeps search
@@ -132,10 +133,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Return vertex degrees in non-increasing order."""
-        return tuple(sorted((len(a) for a in self._adj), reverse=True))
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
@@ -163,20 +160,8 @@ class Graph:
 
     def is_connected(self) -> bool:
         """Walk the graph once; later calls read the memo."""
-        if self._connected is not None:
-            return self._connected
-        seen = bytearray(self.n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        _CONNECTED.__set__(self, count == self.n)
+        if self._connected is None:
+            _CONNECTED.__set__(self, len(bfs_tree(self)[0]) == self.n)
         return self._connected
 
     def is_tree(self) -> bool:
@@ -186,6 +171,17 @@ class Graph:
 # Graph's slot descriptors, which set a slot past the immutability guard.
 _SLOTS = [Graph.__dict__[name] for name in Graph.__slots__]
 _N, _M, _ADJ, _SCORE, _CONNECTED, _SIBLING, _BROOD = _SLOTS
+
+
+def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
+    """Vertices reachable from 0 in BFS order, and each one's parent (0's is 0; unreached, -1)."""
+    order, parent = [0], [0] + [-1] * (g.n - 1)
+    for u in order:
+        for v in g._adj[u]:
+            if parent[v] < 0:
+                parent[v] = u
+                order.append(v)
+    return order, parent
 
 
 # -- constructors ----------------------------------------------------------
@@ -641,6 +637,7 @@ def _tree_distances(graphs: list[Graph]) -> np.ndarray:
     packed = []
     for g in graphs:
         rows = [1] + [0] * (n - 1)
+        # A fused DFS, not bfs_tree: rows built from its parents ran 2-10% slower.
         stack = [0]
         while stack:
             u = stack.pop()

@@ -5,7 +5,8 @@ bound so downstream sign decisions can be certified. Everything that can be
 exact stays exact: characteristic polynomials use big integers (Berkowitz,
 division-free), degree-based indices and proximity use ``fractions.Fraction``,
 and the NP-hard invariants (matching, independence, domination) are solved by
-exact combinatorial algorithms rather than heuristics.
+exact combinatorial algorithms rather than heuristics. The walks these build
+on, ``bfs_tree`` from vertex 0 and all-pairs distances, live in ``graphs``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, GraphError, adjacency_matrix, all_pairs_distances
+from .graphs import Graph, GraphError, adjacency_matrix, all_pairs_distances, bfs_tree
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -143,10 +144,6 @@ class CharPoly:
 
     coeffs: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, x: float) -> float:
         acc = 0.0
         for c in reversed(self.coeffs):
@@ -206,7 +203,6 @@ class PeakStats:
     p_a: int
     m: int
     p_d: int
-    n: int
 
 
 def peak_stats(t: Graph) -> PeakStats:
@@ -223,7 +219,7 @@ def peak_stats(t: Graph) -> PeakStats:
     cpd = distance_char_poly(t)
     scaled = [abs(cpd.coeffs[i]) << i for i in range(n - 1)]
     p_d = scaled.index(max(scaled))
-    return PeakStats(p_a=p_a, m=m, p_d=p_d, n=n)
+    return PeakStats(p_a=p_a, m=m, p_d=p_d)
 
 
 # -- metric invariants --------------------------------------------------------
@@ -432,17 +428,6 @@ def independence_number(g: Graph) -> int:
 
 
 # -- domination number --------------------------------------------------------
-
-
-def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
-    """Connected g's vertices in BFS order from 0, and each one's parent (0's is 0)."""
-    order, parent = [0], [0] + [-1] * (g.n - 1)
-    for u in order:
-        for v in g.neighbors(u):
-            if parent[v] < 0:
-                parent[v] = u
-                order.append(v)
-    return order, parent
 
 
 def _domination_tree_dp(g: Graph) -> int:

@@ -15,6 +15,12 @@ from graphrefute.graphs import Graph, complete, connect_at, path, random_tree, s
 from graphrefute.invariants import adjacency_matrix, symmetric_spectrum
 
 
+def pytest_configure(config):
+    # Declared here, not in pyproject.toml: pytest imports a filter's warning
+    # class before it loads this file, which would load numpy before the pin.
+    config.addinivalue_line("filterwarnings", "error::graphrefute.invariants.PerformanceWarning")
+
+
 def lambda1(g: Graph) -> float:
     """Spectral radius of g's adjacency matrix."""
     return symmetric_spectrum(adjacency_matrix(g)).values[-1]

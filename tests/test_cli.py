@@ -333,6 +333,18 @@ def test_refute_report_is_pinned_line_for_line(capsys):
     assert lines[:-1] == expected
 
 
+def test_refute_headline_run_is_pinned(capsys):
+    # Conjecture 2 from path:13 certifies at a 203-vertex tree. The digest
+    # holds spectral floats, so it needs one BLAS thread (conftest.py).
+    code, out, _ = run(capsys, ["refute", "--conjecture", "2", "--seed", "1"])
+    assert code == 0
+    lines = out.splitlines()
+    assert "verdict: certified" in lines
+    best = next(l for l in lines if l.startswith("best_graph6: "))
+    assert decode_graph6(best.split(": ")[1]).n == 203
+    assert "trace_sha256: 6fd132d2006f2204dc587edd64c0de533a7a925d69b83466192d60c566f858ad" in lines
+
+
 def _usage_error(capsys, argv):
     code, out, err = run(capsys, ["refute", "--conjecture", "5", *argv])
     assert code == 64

@@ -60,6 +60,11 @@ def test_decode_errors_carry_offsets():
     assert info.value.offset == 2
     with pytest.raises(Graph6Error):
         decode_graph6("B")  # truncated payload
+    # Only "~~" starts the 8-byte order header; a lone "~" starts the 4-byte one.
+    for text, form in (("~", "4-byte"), ("~?", "4-byte"), ("~~", "8-byte"), ("~~??", "8-byte")):
+        with pytest.raises(Graph6Error, match=f"truncated {form} order header") as info:
+            decode_graph6(text)
+        assert info.value.offset == len(text)
 
 
 def test_decode_rejects_nonzero_padding():

@@ -29,7 +29,6 @@ from graphrefute.conjectures import (
     Verdict,
     check_hypotheses,
     get_conjecture,
-    is_counterexample,
     score,
     verify_strict,
 )
@@ -140,11 +139,14 @@ def test_tree_scores_1_and_9_agree():
 
 
 def test_is_counterexample():
-    assert is_counterexample(5, build_family("T1", 2))
-    assert not is_counterexample(5, path(5))
-    assert not is_counterexample(5, cycle(4))  # hypothesis failure, no raise
-    assert is_counterexample(3, path(5))
-    assert not is_counterexample(9, star(6))  # exact zero is not a violation
+    def hit(cid, g):  # meets the hypotheses and scores strictly above 1e-9
+        return not check_hypotheses(cid, g) and score(cid, g).value > 1e-9
+
+    assert hit(5, build_family("T1", 2))
+    assert not hit(5, path(5))
+    assert check_hypotheses(5, cycle(4)) and not hit(5, cycle(4))  # hypothesis failure, no raise
+    assert hit(3, path(5))
+    assert not hit(9, star(6))  # exact zero is not a violation
 
 
 def test_verify_strict_verdicts():
@@ -310,11 +312,9 @@ def test_polished_score_and_verify_strict_bypass_the_memo():
     assert score(5, g) is planted
     assert score(5, g, polish=True).exact == Fraction(1, 36)
     assert verify_strict(5, g) is Verdict.CERTIFIED
-    assert is_counterexample(5, g)
     fresh = build_family("T1", 2)
     score(5, fresh, polish=True)
     verify_strict(5, fresh)
-    is_counterexample(5, fresh)
     assert fresh._score is None
 
 

@@ -1,7 +1,9 @@
-"""Package layout: every top-level name in src/ has a caller in src/.
+"""Package layout: every top-level name in src/ has a caller in the program.
 
 A helper that only tests call belongs in the tests or in ``oracles.py``
-(the test-side reference implementations), not in the program.
+(the test-side reference implementations), not in the program. Here the
+program is every module in src/ but ``__init__.py`` (whose re-exports call
+nothing) and ``oracles.py``, plus every file under bench/.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ from pathlib import Path
 import graphrefute
 
 PACKAGE = Path(graphrefute.__file__).resolve().parent
+BENCH = PACKAGE.parent.parent / "bench"
 EXEMPT_FILES = {"oracles.py", "__init__.py"}
+# Names kept without a caller, each with its reason. nmcs is the plain NMCS
+# baseline that AMCS is to be measured against (ROADMAP item 6); the
+# benchmark will call it.
+KEPT = {"nmcs"}
 
 
 def _defined_names(tree: ast.Module) -> list[str]:
@@ -41,28 +48,34 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     return refs
 
 
+def _bench_layers() -> tuple[tuple[str, str], ...]:
+    """bench/spans.py's LAYER_FUNCTIONS, read from the file so that the
+    benchmark itself is not imported."""
+    spans = ast.parse((BENCH / "spans.py").read_text())
+    return next(ast.literal_eval(node.value) for node in spans.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["LAYER_FUNCTIONS"])
+
+
 def test_every_top_level_name_is_used_in_src():
-    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
-    referenced = set().union(*(_referenced_names(t) for t in trees.values()))
-    public = set(graphrefute.__all__)
-    unused = [
-        f"{file}:{name}"
-        for file, tree in trees.items()
-        if file not in EXEMPT_FILES
-        for name in _defined_names(tree)
-        if name not in referenced and name not in public
-    ]
-    assert unused == [], f"defined in src/ but never used there: {unused}"
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+             if p.name not in EXEMPT_FILES}
+    referenced = set().union(
+        *(_referenced_names(t) for t in trees.values()),
+        *(_referenced_names(ast.parse(p.read_text())) for p in sorted(BENCH.rglob("*.py"))),
+        *(attr.split(".") for _, attr in _bench_layers()),
+    )
+    defined = [(file, name) for file, tree in trees.items() for name in _defined_names(tree)]
+    unused = [f"{file}:{name}" for file, name in defined if name not in referenced | KEPT]
+    assert unused == [], f"defined in src/ but never used by the program: {unused}"
+    stale = (KEPT - {name for _, name in defined}) | (KEPT & referenced)
+    assert not stale, f"KEPT names that are gone or now have a caller: {stale}"
 
 
 def test_every_bench_layer_resolves():
     # A traced benchmark run wraps each (module, attribute) pair that
-    # bench/spans.py lists, and crashes at getattr on one that is gone. The
-    # list is read from the file, so the benchmark itself is not imported.
-    spans = ast.parse((PACKAGE.parent.parent / "bench" / "spans.py").read_text())
-    layers = next(ast.literal_eval(node.value) for node in spans.body
-                  if isinstance(node, ast.Assign)
-                  and [getattr(t, "id", None) for t in node.targets] == ["LAYER_FUNCTIONS"])
+    # bench/spans.py lists, and crashes at getattr on one that is gone.
+    layers = _bench_layers()
     missing = []
     for module, attr in layers:
         owner = importlib.import_module(f"graphrefute.{module}")
