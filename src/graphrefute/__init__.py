@@ -32,31 +32,24 @@ from .families import (
 from .graphs import (
     Graph,
     GraphError,
-    InvalidMoveError,
-    Move,
-    MoveKind,
     SearchSpace,
     all_pairs_distances,
-    apply_move,
     complete,
     connect_at,
     construct,
     cycle,
-    legal_moves,
     path,
     random_playout,
     random_tree,
-    removable_vertices,
     star,
 )
 from .search import SearchParams, SearchResult, TraceRecord, amcs, nmcs, prune
 
 __all__ = [
     "__version__",
-    "Graph", "GraphError", "InvalidMoveError", "Move", "MoveKind",
-    "SearchSpace", "all_pairs_distances", "apply_move", "complete",
-    "connect_at", "construct", "cycle", "legal_moves", "path",
-    "random_playout", "random_tree", "removable_vertices", "star",
+    "Graph", "GraphError", "SearchSpace", "all_pairs_distances", "complete",
+    "connect_at", "construct", "cycle", "path", "random_playout",
+    "random_tree", "star",
     "Graph6Error", "decode_graph6", "encode_graph6", "export_dot",
     "REGISTRY", "ConjectureSpec", "HypothesisError", "Score", "Verdict",
     "check_hypotheses", "get_conjecture", "score", "verify_strict",

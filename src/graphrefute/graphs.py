@@ -13,7 +13,6 @@ import heapq
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -24,57 +23,11 @@ class GraphError(ValueError):
     """Invalid parameter or violated contract in a graph operation."""
 
 
-class InvalidMoveError(GraphError):
-    """Raised when a move does not apply to the given graph."""
-
-
 class SearchSpace(Enum):
     """Feasible set that a search walks through."""
 
     TREES = "trees"
     CONNECTED = "connected"
-
-
-class MoveKind(Enum):
-    ADD_LEAF = "add-leaf"
-    SUBDIVIDE = "subdivide"
-    ADD_EDGE = "add-edge"
-    REMOVE_LEAF = "remove-leaf"
-    SMOOTH = "smooth"
-
-
-@dataclass(frozen=True)
-class Move:
-    """One atomic search step.
-
-    ``u`` is the anchor vertex (ADD_LEAF), the leaf (REMOVE_LEAF), the
-    degree-2 vertex (SMOOTH), or the smaller endpoint (SUBDIVIDE, ADD_EDGE).
-    ``v`` is the larger endpoint for two-vertex kinds and -1 otherwise.
-    """
-
-    kind: MoveKind
-    u: int
-    v: int = -1
-
-    @staticmethod
-    def add_leaf(u: int) -> "Move":
-        return Move(MoveKind.ADD_LEAF, u)
-
-    @staticmethod
-    def subdivide(u: int, v: int) -> "Move":
-        return Move(MoveKind.SUBDIVIDE, min(u, v), max(u, v))
-
-    @staticmethod
-    def add_edge(u: int, v: int) -> "Move":
-        return Move(MoveKind.ADD_EDGE, min(u, v), max(u, v))
-
-    @staticmethod
-    def remove_leaf(u: int) -> "Move":
-        return Move(MoveKind.REMOVE_LEAF, u)
-
-    @staticmethod
-    def smooth(u: int) -> "Move":
-        return Move(MoveKind.SMOOTH, u)
 
 
 class Graph:
@@ -279,21 +232,14 @@ def connect_at(g: Graph, h: Graph, u: int, v: int) -> Graph:
 # -- moves ------------------------------------------------------------------
 
 
-def legal_moves(g: Graph, space: SearchSpace) -> list[Move]:
-    """Enumerate forward moves available from g in the given space.
+def legal_moves(g: Graph, space: SearchSpace) -> list[tuple[int, int]]:
+    """Forward moves available from g, as the (u, v) pairs `_grow` takes.
 
-    Trees allow leaf additions and edge subdivisions; connected graphs
-    additionally allow inserting any non-edge. The order is deterministic:
-    leaf anchors ascending, then edges lexicographically, then non-edges
-    lexicographically.
+    Trees allow a leaf at u, written (u, -1), and the subdivision of an edge
+    uv; connected graphs additionally allow adding any non-edge uv. The
+    order is deterministic: leaf anchors ascending, then edges
+    lexicographically, then non-edges lexicographically.
     """
-    moves = _forward_pairs(g, space)
-    kinds = [MoveKind.ADD_LEAF] * g.n + [MoveKind.SUBDIVIDE] * g.m + [MoveKind.ADD_EDGE] * len(moves)
-    return [Move(kind, u, v) for kind, (u, v) in zip(kinds, moves)]  # stops at the last move
-
-
-def _forward_pairs(g: Graph, space: SearchSpace) -> list[tuple[int, int]]:
-    """Each of `legal_moves` as the (u, v) pair `_grow` takes, -1 for v at an add-leaf."""
     if not g.is_connected():
         raise GraphError("forward moves require a connected graph")
     n, adj = g.n, g._adj
@@ -305,7 +251,7 @@ def _forward_pairs(g: Graph, space: SearchSpace) -> list[tuple[int, int]]:
 
 def children(g: Graph, space: SearchSpace) -> list[Graph]:
     """The child of each of `legal_moves`, in its order: `_grow` patches its
-    pair into a copy of g's adjacency, with no `Move` and no validation.
+    pair into a copy of g's adjacency, with no validation.
 
     Moves of one class give isomorphic children, and each child after the
     first of its class refers to that first sibling in ``_sibling``. In tree
@@ -315,7 +261,7 @@ def children(g: Graph, space: SearchSpace) -> list[Graph]:
     in ``_brood``, so that `conjectures.score` evaluates them in one batch.
     A level-1 search reads the list twice: for `playouts`, then for its loop.
     """
-    pairs = _forward_pairs(g, space)
+    pairs = legal_moves(g, space)
     classes = (_tree_classes if space is SearchSpace.TREES else _twin_classes)(g, pairs)
     adj, m, out, first = g._adj, g.m + 1, [], {}
     for (u, v), cls in zip(pairs, classes):
@@ -331,7 +277,7 @@ def children(g: Graph, space: SearchSpace) -> list[Graph]:
 
 
 def _tree_classes(g: Graph, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Each tree-space move's class, one per `_forward_pairs` pair.
+    """Each tree-space move's class, one per `legal_moves` pair.
 
     A chain is a maximal path whose inner vertices have degree 2.
     Subdividing any of its edges, or adding a leaf at an end of it that is a
@@ -396,7 +342,7 @@ def _twin_classes(g: Graph, pairs: list[tuple[int, int]]) -> list[tuple[int, int
 
 
 def _grow(adj: list[tuple[int, ...]], u: int, v: int) -> None:
-    """Patch a valid forward move into adj, a list of sorted neighbour tuples:
+    """Patch a `legal_moves` pair into adj, a list of sorted neighbour tuples:
     a leaf at u when v < 0, else the subdivision of edge uv or the new edge
     uv. The new vertex len(adj) is the largest label: appending it keeps order."""
     n = len(adj)
@@ -413,65 +359,30 @@ def _grow(adj: list[tuple[int, ...]], u: int, v: int) -> None:
         adj[u], adj[v] = au[:i] + (v,) + au[i:], av[:j] + (u,) + av[j:]
 
 
-def apply_move(g: Graph, move: Move) -> Graph:
-    """Apply a move to g, validating its preconditions.
-
-    Every move patches a copy of g's adjacency; a forward move's patch is
-    `_grow`'s. Forward moves keep a connected graph connected, so a child of
-    a graph known to be connected is known to be too; add-edge may join a
-    disconnected graph, so any other child starts unknown. A backward move
-    drops its vertex and shifts the labels above it down, which keeps the
-    order; it never changes the number of components, so its result knows
-    what g knows.
+def apply_move(g: Graph, u: int) -> Graph:
+    """Remove u, one of `removable_vertices(g)`, without checking that it is:
+    a leaf goes, and a degree-2 vertex is smoothed, its two neighbours
+    joined. The labels above u shift down, which keeps every row sorted. A
+    backward move never changes the number of components, so its result
+    knows what g knows.
     """
-    k, u, v = move.kind, move.u, move.v
-    n, adj = g.n, list(g._adj)
-    if k is MoveKind.ADD_LEAF:
-        if not 0 <= u < n:
-            raise InvalidMoveError(f"add-leaf anchor {u} out of range")
-    elif k is MoveKind.SUBDIVIDE:
-        if not (0 <= u < n and 0 <= v < n) or not g.has_edge(u, v):
-            raise InvalidMoveError(f"subdivide needs an existing edge, got ({u}, {v})")
-    elif k is MoveKind.ADD_EDGE:
-        if not (0 <= u < n and 0 <= v < n) or u == v or g.has_edge(u, v):
-            raise InvalidMoveError(f"add-edge needs a non-edge, got ({u}, {v})")
-    elif k is MoveKind.REMOVE_LEAF:
-        if not (0 <= u < n) or g.degree(u) != 1:
-            raise InvalidMoveError(f"remove-leaf needs a degree-1 vertex, got {u}")
-    elif k is MoveKind.SMOOTH:
-        if not (0 <= u < n) or g.degree(u) != 2:
-            raise InvalidMoveError(f"smooth needs a degree-2 vertex, got {u}")
+    adj = list(g._adj)
+    if len(adj[u]) == 2:
         a, b = adj[u]
-        if g.has_edge(a, b):
-            raise InvalidMoveError(f"smooth at {u} would create a parallel edge")
         adj[a], adj[b] = tuple(sorted(adj[a] + (b,))), tuple(sorted(adj[b] + (a,)))
-    else:
-        raise InvalidMoveError(f"unknown move kind {k!r}")
-    if k is MoveKind.REMOVE_LEAF or k is MoveKind.SMOOTH:
-        del adj[u]
-        adj = tuple(tuple(x - (x > u) for x in row if x != u) for row in adj)
-        return Graph._trusted(adj, g.m - 1, g._connected)
-    _grow(adj, u, -1 if k is MoveKind.ADD_LEAF else v)
-    return Graph._trusted(tuple(adj), g.m + 1, g._connected or None)
+    del adj[u]
+    adj = tuple(tuple(x - (x > u) for x in row if x != u) for row in adj)
+    return Graph._trusted(adj, g.m - 1, g._connected)
 
 
-def removable_vertices(g: Graph) -> list[Move]:
-    """List backward moves: leaf removals and smoothings, anchors ascending.
-
-    A degree-2 vertex is smoothable only when its neighbors are non-adjacent,
-    so the result stays simple. Both kinds preserve connectivity and map
-    trees to trees.
+def removable_vertices(g: Graph) -> list[int]:
+    """The vertices `apply_move` may remove, ascending: leaves, and degree-2
+    vertices whose neighbours are non-adjacent, so that smoothing keeps the
+    graph simple. Both preserve connectivity and map trees to trees.
     """
-    out = []
-    for v in range(g.n):
-        d = g.degree(v)
-        if d == 1 and g.n > 1:
-            out.append(Move.remove_leaf(v))
-        elif d == 2:
-            a, b = g.neighbors(v)
-            if not g.has_edge(a, b):
-                out.append(Move.smooth(v))
-    return out
+    adj = g._adj
+    return [v for v, nbrs in enumerate(adj)
+            if len(nbrs) == 1 or len(nbrs) == 2 and nbrs[1] not in adj[nbrs[0]]]
 
 
 def random_playout(g: Graph, depth: int, space: SearchSpace, rng: random.Random) -> Graph:

@@ -30,9 +30,8 @@ from graphrefute.families import build_family
 from graphrefute.graphs import (
     Graph,
     SearchSpace,
-    apply_move,
+    children,
     construct,
-    legal_moves,
     random_tree,
     star,
 )
@@ -196,15 +195,16 @@ def test_criterion_5_numerical_consistency():
 def test_criterion_6_property_suites():
     rng = random.Random(99)
 
-    # Search-space closure under every legal forward move, checked on a
-    # rebuilt copy: a child inherits its parent's connectivity unchecked.
+    # Search-space closure under every legal forward move, built as the
+    # search builds it and checked on a rebuilt copy: a child inherits its
+    # parent's connectivity unchecked.
     for _ in range(20):
         t = random_tree(rng.randrange(2, 9), rng)
-        for move in legal_moves(t, SearchSpace.TREES):
-            assert rebuilt(apply_move(t, move)).is_tree()
+        for child in children(t, SearchSpace.TREES):
+            assert rebuilt(child).is_tree()
         g = random_connected_graph(rng.randrange(2, 9), rng)
-        for move in legal_moves(g, SearchSpace.CONNECTED):
-            assert rebuilt(apply_move(g, move)).is_connected()
+        for child in children(g, SearchSpace.CONNECTED):
+            assert rebuilt(child).is_connected()
 
     # Accepted-score strict monotonicity, the order floor, and
     # determinism under a fixed seed, on a real search.

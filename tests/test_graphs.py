@@ -15,9 +15,6 @@ from graphrefute.codec import decode_graph6, encode_graph6
 from graphrefute.graphs import (
     Graph,
     GraphError,
-    InvalidMoveError,
-    Move,
-    MoveKind,
     SearchSpace,
     all_pairs_distances,
     apply_move,
@@ -136,22 +133,16 @@ def test_legal_moves_tree_space_counts_and_order():
     g = path(3)
     moves = legal_moves(g, SearchSpace.TREES)
     # n add-leaf moves then m subdivide moves, each block in ascending order.
-    assert moves == [
-        Move.add_leaf(0),
-        Move.add_leaf(1),
-        Move.add_leaf(2),
-        Move.subdivide(0, 1),
-        Move.subdivide(1, 2),
-    ]
+    assert moves == [(0, -1), (1, -1), (2, -1), (0, 1), (1, 2)]
 
 
 def test_legal_moves_connected_space_adds_edge_moves():
     g = path(3)
     moves = legal_moves(g, SearchSpace.CONNECTED)
-    assert Move.add_edge(0, 2) in moves
-    assert moves.index(Move.subdivide(1, 2)) < moves.index(Move.add_edge(0, 2))
+    # The non-edges follow the leaves and the edges.
+    assert moves == legal_moves(g, SearchSpace.TREES) + [(0, 2)]
     k = complete(4)
-    assert all(m.kind is not MoveKind.ADD_EDGE for m in legal_moves(k, SearchSpace.CONNECTED))
+    assert legal_moves(k, SearchSpace.CONNECTED) == legal_moves(k, SearchSpace.TREES)
 
 
 def test_legal_moves_rejects_disconnected():
@@ -159,58 +150,27 @@ def test_legal_moves_rejects_disconnected():
         legal_moves(Graph(4, [(0, 1), (2, 3)]), SearchSpace.TREES)
 
 
-def test_apply_move_add_leaf_and_subdivide():
-    g = path(3)
-    g2 = apply_move(g, Move.add_leaf(1))
-    assert g2.n == 4 and g2.has_edge(1, 3)
-    g3 = apply_move(g, Move.subdivide(0, 1))
-    assert g3.n == 4 and g3.m == 3
-    assert not g3.has_edge(0, 1)
-    assert g3.has_edge(0, 3) and g3.has_edge(1, 3)
-
-
-def test_apply_move_add_edge_and_validation():
-    g = path(4)
-    g2 = apply_move(g, Move.add_edge(0, 3))
-    assert g2 == cycle(4)
-    with pytest.raises(InvalidMoveError):
-        apply_move(g, Move.add_edge(0, 1))  # already present
-    with pytest.raises(InvalidMoveError):
-        apply_move(g, Move.subdivide(0, 2))  # not an edge
-    with pytest.raises(InvalidMoveError):
-        apply_move(g, Move.add_leaf(9))  # out of range
-
-
 def test_apply_move_remove_leaf_inverts_add_leaf():
     g = path(4)
-    grown = apply_move(g, Move.add_leaf(2))
-    shrunk = apply_move(grown, Move.remove_leaf(4))
-    assert shrunk == g
-    with pytest.raises(InvalidMoveError):
-        apply_move(path(4), Move.remove_leaf(1))  # degree 2, not a leaf
+    grown = children(g, SearchSpace.TREES)[2]  # a leaf at 2, which is vertex 4
+    assert apply_move(grown, 4) == g
 
 
 def test_apply_move_smooth_inverts_subdivide():
     g = path(2)
-    sub = apply_move(g, Move.subdivide(0, 1))
-    back = apply_move(sub, Move.smooth(2))
-    assert back == g
+    sub = children(g, SearchSpace.TREES)[2]  # (0, 1) subdivided by vertex 2
+    assert apply_move(sub, 2) == g
     # Smoothing a degree-2 vertex whose neighbors are adjacent would create
-    # a multi-edge, so it is not allowed.
-    with pytest.raises(InvalidMoveError):
-        apply_move(cycle(3), Move.smooth(0))
-    with pytest.raises(InvalidMoveError):
-        apply_move(path(4), Move.smooth(0))  # leaf, not degree 2
+    # a multi-edge, so such a vertex is not removable.
+    assert removable_vertices(cycle(3)) == []
 
 
 def test_removable_vertices():
-    assert [m.u for m in removable_vertices(path(5))] == [0, 1, 2, 3, 4]
-    assert all(
-        m.kind is MoveKind.SMOOTH for m in removable_vertices(path(5)) if m.u in (1, 2, 3)
-    )
-    s = star(5)
-    assert [m.u for m in removable_vertices(s)] == [1, 2, 3, 4]
+    assert removable_vertices(path(5)) == [0, 1, 2, 3, 4]
+    assert removable_vertices(cycle(4)) == [0, 1, 2, 3]
+    assert removable_vertices(star(5)) == [1, 2, 3, 4]
     assert removable_vertices(complete(3)) == []
+    assert removable_vertices(Graph(1)) == []
 
 
 def test_random_playout_stays_in_space_and_adds_depth_vertices_or_edges():
@@ -226,7 +186,7 @@ def test_random_playout_stays_in_space_and_adds_depth_vertices_or_edges():
 
 def _reference_playout(g, depth, space, rng):
     for _ in range(depth):
-        g = apply_move(g, rng.choice(legal_moves(g, space)))
+        g = _expected_child(g, *rng.choice(legal_moves(g, space)))
     return g
 
 
@@ -266,8 +226,7 @@ def test_forward_moves_match_a_validated_rebuild():
     graphs = [(random_tree(n, rng), SearchSpace.TREES) for n in range(1, 13)]
     graphs += [(random_connected_graph(n, rng), SearchSpace.CONNECTED) for n in range(1, 13)]
     for g, space in graphs:
-        for move in legal_moves(g, space):
-            child = apply_move(g, move)
+        for child in children(g, space):
             rebuilt = Graph(child.n, child.edges())
             assert (child.n, child.m, child._adj) == (rebuilt.n, rebuilt.m, rebuilt._adj)
             assert child == rebuilt and hash(child) == hash(rebuilt)
@@ -291,13 +250,12 @@ def test_backward_moves_match_a_validated_rebuild():
         g = Graph(n, edges)
         if rng.random() < 0.5:
             g.is_connected()
-        for move in removable_vertices(g):
-            gone = move.u
+        for gone in removable_vertices(g):
             kept = [e for e in g.edges() if gone not in e]
-            if move.kind is MoveKind.SMOOTH:
+            if g.degree(gone) == 2:
                 kept.append(g.neighbors(gone))
             want = Graph(n - 1, [(u - (u > gone), v - (v > gone)) for u, v in kept])
-            got = apply_move(g, move)
+            got = apply_move(g, gone)
             assert (got.n, got.m, got._adj) == (want.n, want.m, want._adj)
             assert got._connected == g._connected
             if got._connected is not None:
@@ -313,29 +271,29 @@ def test_forward_children_of_a_connected_graph_know_they_are_connected():
                          (random_connected_graph(n, rng), SearchSpace.CONNECTED)]:
             assert g._connected is None
             assert g.is_connected() and g._connected is True
-            for move in legal_moves(g, space):
-                child = apply_move(g, move)
+            for child in children(g, space):
                 assert child._connected is True
                 assert rebuilt(child).is_connected()
             # Backward moves never change the number of components.
-            for move in removable_vertices(g):
-                assert apply_move(g, move)._connected == g._connected
+            for u in removable_vertices(g):
+                assert apply_move(g, u)._connected == g._connected
     assert decode_graph6(encode_graph6(path(4)))._connected is None
 
 
-def _expected_child_edges(g: Graph, move: Move) -> list[tuple[int, int]]:
-    """The edge list of g's child under a forward move, written out by hand."""
-    edges, u, v, new = list(g.edges()), move.u, move.v, g.n
-    if move.kind is MoveKind.ADD_LEAF:
-        return edges + [(u, new)]
-    if move.kind is MoveKind.SUBDIVIDE:
-        return [e for e in edges if e != (u, v)] + [(u, new), (v, new)]
-    return edges + [(u, v)]
+def _expected_child(g: Graph, u: int, v: int) -> Graph:
+    """g's child under the forward move (u, v), from an edge list written out
+    by hand through the validating constructor."""
+    edges, new = list(g.edges()), g.n
+    if v < 0:
+        return Graph(new + 1, edges + [(u, new)])
+    if g.has_edge(u, v):
+        return Graph(new + 1, [e for e in edges if e != (u, v)] + [(u, new), (v, new)])
+    return Graph(new, edges + [(u, v)])
 
 
 def test_children_match_hand_built_children_and_know_they_are_connected():
-    # children builds each child straight from g's adjacency, without
-    # apply_move; each child is checked against the validated constructor.
+    # children builds each child straight from g's adjacency; each child is
+    # checked against the validated constructor.
     rng = random.Random(41)
     checked = 0
     for n in range(1, 13):
@@ -349,7 +307,7 @@ def test_children_match_hand_built_children_and_know_they_are_connected():
                 for child, move in zip(kids, moves):
                     assert child._connected is True and child.m == g.m + 1
                     assert child._adj == rebuilt(child)._adj
-                    assert child._adj == Graph(child.n, _expected_child_edges(g, move))._adj
+                    assert child._adj == _expected_child(g, *move)._adj
                     checked += 1
     assert checked > 2500
     for bad in (Graph(4, [(0, 1), (2, 3)]), Graph(3)):
@@ -359,16 +317,21 @@ def test_children_match_hand_built_children_and_know_they_are_connected():
 
 
 def test_children_of_a_disconnected_graph_compute_connectivity():
+    # children refuses a disconnected parent, but a playout steps from any
+    # graph. Its result starts unknown, since an added edge may join parts.
     two_edges = Graph(4, [(0, 1), (2, 3)])
     assert not two_edges.is_connected() and two_edges._connected is False
-    joined = apply_move(two_edges, Move.add_edge(1, 2))
-    assert joined._connected is None and joined.is_connected()
     with_isolated = Graph(5, [(0, 1), (2, 3)])
     assert not with_isolated.is_connected()
-    for move in (Move.add_edge(1, 2), Move.add_leaf(0), Move.subdivide(0, 1)):
-        child = apply_move(with_isolated, move)
-        assert child._connected is None
-        assert not child.is_connected() and child._connected is False
+    rng = random.Random(7)
+    seen = set()
+    for g in (two_edges, with_isolated):
+        for _ in range(100):
+            child = random_playout(g, 1, SearchSpace.CONNECTED, rng)
+            assert child._connected is None
+            assert child.is_connected() is rebuilt(child).is_connected()
+            seen.add((g.n, child._connected))
+    assert seen == {(4, True), (4, False), (5, False)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,11 +340,11 @@ def test_forward_moves_preserve_space_membership(seed, n):
     rng = random.Random(seed)
     t = random_tree(n, rng)
     # A rebuilt copy knows nothing, so this walks each child.
-    for move in legal_moves(t, SearchSpace.TREES):
-        assert rebuilt(apply_move(t, move)).is_tree()
+    for child in children(t, SearchSpace.TREES):
+        assert rebuilt(child).is_tree()
     g = random_connected_graph(n, rng)
-    for move in legal_moves(g, SearchSpace.CONNECTED):
-        assert rebuilt(apply_move(g, move)).is_connected()
+    for child in children(g, SearchSpace.CONNECTED):
+        assert rebuilt(child).is_connected()
 
 
 @settings(max_examples=60, deadline=None)
@@ -389,8 +352,8 @@ def test_forward_moves_preserve_space_membership(seed, n):
 def test_prune_moves_preserve_connectivity(seed, n):
     rng = random.Random(seed)
     g = random_connected_graph(n, rng)
-    for move in removable_vertices(g):
-        shrunk = apply_move(g, move)
+    for u in removable_vertices(g):
+        shrunk = apply_move(g, u)
         assert shrunk.n == g.n - 1
         assert shrunk.is_connected()
 
@@ -517,7 +480,7 @@ def test_tree_key_rejects_a_graph_with_a_cycle():
 def _siblings(g: Graph, space: SearchSpace) -> list[tuple[Graph, Graph | None]]:
     """Each child of g, in move order, with the sibling it refers to."""
     kids = list(children(g, space))
-    assert kids == [apply_move(g, move) for move in legal_moves(g, space)]
+    assert kids == [_expected_child(g, u, v) for u, v in legal_moves(g, space)]
     for i, child in enumerate(kids):
         rep = child._sibling
         # The sibling is the first of its class: an earlier child, itself
