@@ -13,6 +13,80 @@ from graphrefute.codec import Graph6Error, decode_graph6, encode_graph6, export_
 from graphrefute.graphs import Graph, complete, cycle, path, star
 
 
+# A per-bit reference codec, one Python step per adjacency bit: the program's
+# own codec before it packed the bits through one integer and base64. The
+# program must agree with it byte for byte and error for error.
+
+def _reference_order(n: int) -> str:
+    if n <= 62:
+        return chr(n + 63)
+    if n <= 258047:
+        return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    return "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
+
+
+def _reference_encode(g: Graph) -> str:
+    out = [_reference_order(g.n)]
+    acc = nbits = 0
+    for j in range(1, g.n):
+        nbrs = set(g.neighbors(j))
+        for i in range(j):
+            acc = (acc << 1) | (i in nbrs)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(acc + 63))
+                acc = nbits = 0
+    if nbits:
+        out.append(chr((acc << (6 - nbits)) + 63))
+    return "".join(out)
+
+
+def _reference_decode(text: str) -> Graph:
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise Graph6Error("empty graph6 string", 0)
+    data = [ord(c) for c in s]
+    for pos, b in enumerate(data):
+        if not (63 <= b <= 126):
+            raise Graph6Error(f"byte {b} outside graph6 range 63..126", pos)
+    if data[0] != 126:
+        n, pos = data[0] - 63, 1
+    elif len(data) < 2 or data[1] != 126:
+        if len(data) < 4:
+            raise Graph6Error("truncated 4-byte order header", len(data))
+        n, pos = 0, 4
+        for b in data[1:4]:
+            n = (n << 6) | (b - 63)
+    else:
+        if len(data) < 8:
+            raise Graph6Error("truncated 8-byte order header", len(data))
+        n, pos = 0, 8
+        for b in data[2:8]:
+            n = (n << 6) | (b - 63)
+    if n < 1:
+        raise Graph6Error(f"graph order {n} must be >= 1", 0)
+    nbits = n * (n - 1) // 2
+    need, have = (nbits + 5) // 6, len(data) - pos
+    if have != need:
+        raise Graph6Error(f"expected {need} edge bytes for order {n}, found {have}", pos)
+    edges, bit, i, j = [], 0, 0, 1
+    for b in data[pos:]:
+        for k in range(5, -1, -1):
+            if bit >= nbits:
+                if ((b - 63) >> k) & 1:
+                    raise Graph6Error("nonzero padding bits", pos + bit // 6)
+                continue
+            if ((b - 63) >> k) & 1:
+                edges.append((i, j))
+            bit += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
+    return Graph(n, edges)
+
+
 def test_known_strings():
     assert encode_graph6(Graph(1)) == "@"
     assert encode_graph6(complete(2)) == "A_"
@@ -73,6 +147,61 @@ def test_decode_rejects_nonzero_padding():
     assert good == path(3)
     with pytest.raises(Graph6Error):
         decode_graph6("Bh")
+
+
+def _random_graph(n: int, p: float, rng: random.Random) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _assert_same_as_reference(g: Graph) -> None:
+    text = encode_graph6(g)
+    assert text == _reference_encode(g)
+    decoded, expected = decode_graph6(text), _reference_decode(text)
+    assert decoded._adj == expected._adj == g._adj
+    assert decoded.m == expected.m == g.m
+    assert decoded._connected is None
+
+
+def test_codec_matches_the_per_bit_reference_at_every_order():
+    # Orders 62 and 63 sit on both sides of the 1-byte/4-byte header switch.
+    # Every density runs at orders 1..100; above that, where the reference
+    # costs tens of milliseconds a graph, each order takes one density in turn.
+    rng = random.Random(25)
+    orders = [(n, k) for n in range(1, 101) for k in range(4)]
+    orders += [(n, n % 4) for n in range(101, 301)]
+    for n, k in orders:
+        p = (0.0, min(1.0, 2 / n), 0.5, 1.0)[k]
+        _assert_same_as_reference(_random_graph(n, p, rng))
+
+
+def _malformed_inputs() -> dict[str, str]:
+    long_form = encode_graph6(path(70))  # "~" plus 3 header bytes, 3 padding bits
+    assert long_form.startswith("~") and len(long_form) == 4 + 403
+    return {
+        "empty": "", "low-byte": "B" + chr(3), "interior-space": "Bw w",
+        "non-ascii": "B\u20ac", "low-byte-before-non-ascii": "B\x01\u20ac",
+        "lone-surrogate": "B\udcff",  # str.encode would raise on it
+        "no-edge-bytes": "B", "order-zero": "?", "order-zero-8-byte": "~~??????",
+        "tilde": "~", "tilde-one-byte": "~?", "two-tildes": "~~", "two-tildes-two-bytes": "~~??",
+        "padding-bit": "Bh", "4-byte-header-edge-byte-missing": long_form[:-1],
+        "4-byte-header-padding-bit": long_form[:-1] + chr(ord(long_form[-1]) + 1),
+    }
+
+
+@pytest.mark.parametrize("text", _malformed_inputs().values(), ids=_malformed_inputs().keys())
+def test_decode_errors_match_the_reference(text):
+    with pytest.raises(Graph6Error) as expected:
+        _reference_decode(text)
+    with pytest.raises(Graph6Error) as got:
+        decode_graph6(text)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+    assert got.value.offset == expected.value.offset
+
+
+def test_long_order_headers_may_carry_small_orders():
+    for text in ("~??Bw", "~~?????Bw"):
+        assert decode_graph6(text) == _reference_decode(text) == complete(3)
 
 
 @settings(max_examples=80, deadline=None)

@@ -264,20 +264,22 @@ def test_backward_moves_match_a_validated_rebuild():
     assert moves > 5000
 
 
-def test_forward_children_of_a_connected_graph_know_they_are_connected():
+def test_backward_moves_keep_connectivity_and_decoded_graphs_start_unknown():
+    # Forward children are checked in
+    # test_children_match_hand_built_children_and_know_they_are_connected.
     rng = random.Random(17)
     for n in range(1, 11):
-        for g, space in [(random_tree(n, rng), SearchSpace.TREES),
-                         (random_connected_graph(n, rng), SearchSpace.CONNECTED)]:
+        for g in (random_tree(n, rng), random_connected_graph(n, rng)):
             assert g._connected is None
             assert g.is_connected() and g._connected is True
-            for child in children(g, space):
-                assert child._connected is True
-                assert rebuilt(child).is_connected()
             # Backward moves never change the number of components.
             for u in removable_vertices(g):
                 assert apply_move(g, u)._connected == g._connected
-    assert decode_graph6(encode_graph6(path(4)))._connected is None
+    # graph6 carries no connectivity: a decoded graph walks itself when asked.
+    for text, connected in ((encode_graph6(path(4)), True), ("C`", False)):
+        g = decode_graph6(text)
+        assert g._connected is None
+        assert g.is_connected() is connected and g._connected is connected
 
 
 def _expected_child(g: Graph, u: int, v: int) -> Graph:
