@@ -26,6 +26,8 @@ from .codec import Graph6Error, decode_graph6, encode_graph6, export_dot
 from .conjectures import (
     REGISTRY,
     HypothesisError,
+    Score,
+    UnknownConjectureError,
     Verdict,
     check_hypotheses,
     get_conjecture,
@@ -73,130 +75,82 @@ def _parse_initial(recipe: str, rng: random.Random) -> Graph:
 
 def _load_graph(path: str) -> Graph:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise GraphError(f"cannot read graph file {path}: {exc}") from exc
-    for line in text.splitlines():
-        line = line.strip()
+    for line in data.splitlines():
+        line = line.strip()  # ASCII whitespace only, so no stray byte is dropped
         if line:
-            return decode_graph6(line)
+            try:
+                return decode_graph6(line.decode("ascii"))
+            except UnicodeDecodeError as exc:
+                raise Graph6Error(f"byte {line[exc.start]} outside graph6 range 63..126",
+                                  exc.start) from None
     raise GraphError(f"no graph6 data in {path}")
 
 
 def _format_part(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _trace_lines(seed: int, result: SearchResult) -> list[str]:
     """Render a search trace deterministically (no wall-clock fields)."""
-    out = []
-    for rec in result.trace:
-        out.append(
-            f"trace seed={seed} pass={rec.pass_index} iter={rec.iteration} "
-            f"depth={rec.depth} level={rec.level} n={rec.n} m={rec.m} "
-            f"score={rec.score!r} accepted={str(rec.accepted).lower()}"
-        )
-    return out
+    return [
+        f"trace seed={seed} pass={rec.pass_index} iter={rec.iteration} "
+        f"depth={rec.depth} level={rec.level} n={rec.n} m={rec.m} "
+        f"score={rec.score!r} accepted={str(rec.accepted).lower()}"
+        for rec in result.trace
+    ]
 
 
 def cmd_refute(args) -> int:
-    try:
-        spec = get_conjecture(args.conjecture)
-    except KeyError as exc:
-        print(f"graphrefute: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    budget_ok = args.time_budget is None or 0 <= args.time_budget < math.inf
-    for flag, ok, bound in [
-        ("--max-depth", args.max_depth >= 0, "must be >= 0"),
-        ("--max-level", args.max_level >= 0, "must be >= 0"),
-        ("--tau", math.isfinite(args.tau), "must be finite"),
-        ("--time-budget", budget_ok, "must be finite and >= 0"),
+    spec = get_conjecture(args.conjecture)
+    trees_only = spec.space is SearchSpace.TREES if args.trees_only is None else args.trees_only
+    budget = args.time_budget
+    for ok, problem in [
+        (args.max_depth >= 0, "--max-depth must be >= 0"),
+        (args.max_level >= 0, "--max-level must be >= 0"),
+        (math.isfinite(args.tau), "--tau must be finite"),
+        (budget is None or 0 <= budget < math.inf, "--time-budget must be finite and >= 0"),
+        (trees_only or not spec.requires_tree,
+         f"conjecture {spec.id} holds for trees only; --no-trees-only does not apply"),
     ]:
         if not ok:
-            print(f"graphrefute: {flag} {bound}", file=sys.stderr)
+            print(f"graphrefute: {problem}", file=sys.stderr)
             return EXIT_USAGE
-    trees_only = spec.space is SearchSpace.TREES if args.trees_only is None else args.trees_only
-    if spec.requires_tree and not trees_only:
-        print(f"graphrefute: conjecture {spec.id} holds for trees only; "
-              "--no-trees-only does not apply", file=sys.stderr)
-        return EXIT_USAGE
     recipe = args.initial or f"{spec.initial[0]}:{spec.initial[1]}"
-    seeds = args.seeds or [args.seed]
-    budget = "none" if args.time_budget is None else repr(args.time_budget)
-    config_line = (
-        f"config: conjecture={args.conjecture} initial={recipe} "
-        f"max_depth={args.max_depth} max_level={args.max_level} "
-        f"trees_only={str(trees_only).lower()} seeds={','.join(map(str, seeds))} "
-        f"time_budget={budget} tau={args.tau!r}"
-    )
     space = SearchSpace.TREES if trees_only else SearchSpace.CONNECTED
-    seed_lines: list[str] = []
-    trace_lines: list[str] = []
-    timing_lines: list[str] = []
-    best_result: SearchResult | None = None
-    best_seed = None
-    verdict = None
-    for seed in seeds:
+    runs: list[tuple[int, SearchResult, Verdict | None]] = []
+    for seed in args.seeds:
         rng = random.Random(seed)
-        try:
-            initial = _parse_initial(recipe, rng)
-        except (GraphError, Graph6Error) as exc:
-            print(f"graphrefute: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        initial = _parse_initial(recipe, rng)
         violations = check_hypotheses(args.conjecture, initial)
         if violations:
-            print(
-                "graphrefute: initial graph violates hypotheses: "
-                + "; ".join(violations),
-                file=sys.stderr,
-            )
-            return EXIT_DATA
-        if not (initial.is_tree() if trees_only else initial.is_connected()):
-            need = "a tree" if trees_only else "a connected graph"
-            print(f"graphrefute: initial graph is not {need}, which the search space "
-                  "requires", file=sys.stderr)
-            return EXIT_DATA
-        params = SearchParams(
-            max_depth=args.max_depth,
-            max_level=args.max_level,
-            trees_only=trees_only,
-            seed=seed,
-            time_budget=args.time_budget,
-            tau=args.tau,
-        )
-
-        def score_value(g: Graph) -> float:
-            return score(args.conjecture, g).value
-
-        result = amcs(initial, params, score_value, space, rng)
-        seed_lines.append(
-            f"seed {seed}: found={str(result.found).lower()} "
-            f"best_score={result.best_score!r} passes={result.loop_passes} "
-            f"accepted={result.iterations} budget_exhausted={str(result.budget_exhausted).lower()}"
-        )
-        trace_lines.extend(_trace_lines(seed, result))
-        timing_lines.append(f"timing seed {seed}: elapsed={result.elapsed:.3f}s")
+            raise GraphError("initial graph violates hypotheses: " + "; ".join(violations))
+        params = SearchParams(max_depth=args.max_depth, max_level=args.max_level,
+                              trees_only=trees_only, seed=seed, time_budget=budget, tau=args.tau)
+        result = amcs(initial, params, lambda g: score(args.conjecture, g).value, space, rng)
         # A verdict is only ever reported next to the seed it was reached for.
-        seed_verdict = verify_strict(args.conjecture, result.best_graph) if result.found else None
-        certified = seed_verdict is Verdict.CERTIFIED
-        if best_result is None or certified or result.best_score > best_result.best_score:
-            best_result, best_seed, verdict = result, seed, seed_verdict
-        if certified:
+        verdict = verify_strict(args.conjecture, result.best_graph) if result.found else None
+        runs.append((seed, result, verdict))
+        if verdict is Verdict.CERTIFIED:
             break
-    assert best_result is not None
-    found = best_result.found
+    # The certified run, else the first run with the best score.
+    best_seed, best, verdict = max(runs, key=lambda run: (run[2] is Verdict.CERTIFIED,
+                                                          run[1].best_score))
     lines = [
         f"schema: {_SCHEMA}",
         f"version: {__version__}",
-        config_line,
-        f"found: {str(found).lower()}",
+        f"config: conjecture={args.conjecture} initial={recipe} "
+        f"max_depth={args.max_depth} max_level={args.max_level} "
+        f"trees_only={str(trees_only).lower()} seeds={','.join(map(str, args.seeds))} "
+        f"time_budget={'none' if budget is None else repr(budget)} tau={args.tau!r}",
+        f"found: {str(best.found).lower()}",
         f"verdict: {verdict.value if verdict else 'none'}",
     ]
-    if found:
-        best_graph6 = encode_graph6(best_result.best_graph)
-        detail = score(args.conjecture, best_result.best_graph, polish=True)
+    if best.found:
+        best_graph6 = encode_graph6(best.best_graph)
+        detail = score(args.conjecture, best.best_graph, polish=True)
         parts = {**detail.parts, "error_bound": detail.spectral_error_bound}
         lines += [
             f"best_seed: {best_seed}",
@@ -206,37 +160,41 @@ def cmd_refute(args) -> int:
         if detail.exact is not None:
             lines.append(f"best_score_exact: {detail.exact}")
         lines += [f"part {key}: {_format_part(parts[key])}" for key in sorted(parts)]
+    lines += [
+        f"seed {seed}: found={str(r.found).lower()} best_score={r.best_score!r} "
+        f"passes={r.loop_passes} accepted={r.iterations} "
+        f"budget_exhausted={str(r.budget_exhausted).lower()}"
+        for seed, r, _ in runs
+    ]
+    trace_lines = [line for seed, r, _ in runs for line in _trace_lines(seed, r)]
     digest = hashlib.sha256("\n".join(trace_lines).encode()).hexdigest()
     # Timing lines go last and are excluded from replay comparison.
-    lines += [*seed_lines, f"trace_sha256: {digest}", *trace_lines, *timing_lines]
+    lines += [f"trace_sha256: {digest}", *trace_lines,
+              *(f"timing seed {seed}: elapsed={r.elapsed:.3f}s" for seed, r, _ in runs)]
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.txt").write_text(text)
-        if found:
+        if best.found:
             (out_dir / "best.g6").write_text(best_graph6 + "\n")
-            (out_dir / "best.dot").write_text(export_dot(best_result.best_graph))
-    if not found:
+            (out_dir / "best.dot").write_text(export_dot(best.best_graph))
+    if not best.found:
         return EXIT_NOT_FOUND
     return EXIT_OK if verdict is Verdict.CERTIFIED else EXIT_NOT_CERTIFIED
 
 
+def _print_score(detail: Score) -> None:
+    print(f"score: {detail.value!r}")
+    if detail.exact is not None:
+        print(f"score_exact: {detail.exact}")
+    print(f"error_bound: {detail.spectral_error_bound!r}")
+
+
 def cmd_score(args) -> int:
-    try:
-        g = _load_graph(args.graph)
-    except (GraphError, Graph6Error) as exc:
-        print(f"graphrefute: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        result = score(args.conjecture, g, polish=True)
-    except HypothesisError as exc:
-        print(f"graphrefute: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except KeyError as exc:
-        print(f"graphrefute: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _load_graph(args.graph)
+    result = score(args.conjecture, g, polish=True)
     spec = get_conjecture(args.conjecture)
     print(f"conjecture: {spec.id}")
     print(f"name: {spec.name}")
@@ -245,34 +203,18 @@ def cmd_score(args) -> int:
     print(f"m: {g.m}")
     for key in sorted(result.parts):
         print(f"part {key}: {_format_part(result.parts[key])}")
-    print(f"score: {result.value!r}")
-    if result.exact is not None:
-        print(f"score_exact: {result.exact}")
-    print(f"error_bound: {result.spectral_error_bound!r}")
+    _print_score(result)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = _load_graph(args.graph)
-    except (GraphError, Graph6Error) as exc:
-        print(f"graphrefute: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        get_conjecture(args.conjecture)
-    except KeyError as exc:
-        print(f"graphrefute: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _load_graph(args.graph)
     violations = check_hypotheses(args.conjecture, g)
     for v in violations:
         print(f"hypothesis violated: {v}")
     verdict = verify_strict(args.conjecture, g)
     if not violations:
-        detail = score(args.conjecture, g, polish=True)
-        print(f"score: {detail.value!r}")
-        if detail.exact is not None:
-            print(f"score_exact: {detail.exact}")
-        print(f"error_bound: {detail.spectral_error_bound!r}")
+        _print_score(score(args.conjecture, g, polish=True))
     print(f"verdict: {verdict.value}")
     return EXIT_OK if verdict is Verdict.CERTIFIED else EXIT_NOT_CERTIFIED
 
@@ -291,13 +233,9 @@ def _parse_param_range(text: str) -> list[int]:
 
 
 def cmd_family(args) -> int:
-    try:
-        spec = get_family(args.name)
-        params = _parse_param_range(args.params)
-        members = [(p, build_family(args.name, p)) for p in params]
-    except FamilyError as exc:
-        print(f"graphrefute: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = get_family(args.name)
+    params = _parse_param_range(args.params)
+    members = [(p, build_family(args.name, p)) for p in params]
     print(f"family: {spec.name}")
     print(f"description: {spec.description}")
     print(f"order: {spec.order_formula}")
@@ -358,10 +296,10 @@ def build_parser() -> _Parser:
     p_refute.add_argument("--trees-only", action=argparse.BooleanOptionalAction,
                           default=None,
                           help="restrict moves to trees (default: per conjecture)")
-    p_refute.add_argument("--seed", type=int, default=0)
-    p_refute.add_argument("--seeds", type=_int_list, metavar="S1,S2,...",
-                          help="run several independent seeds, stopping at the "
-                               "first certified counterexample")
+    p_refute.add_argument("--seed", "--seeds", dest="seeds", type=_int_list, default=[0],
+                          metavar="S1,S2,...",
+                          help="one seed, or several run in turn up to the first "
+                               "certified counterexample (default: 0)")
     p_refute.add_argument("--time-budget", type=float, default=None, metavar="SECONDS",
                           help="wall-clock limit per seed")
     p_refute.add_argument("--tau", type=float, default=1e-9,
@@ -396,9 +334,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (GraphError, Graph6Error, HypothesisError) as exc:
+        print(f"graphrefute: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except (FamilyError, UnknownConjectureError) as exc:
+        print(f"graphrefute: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -33,6 +33,10 @@ class HypothesisError(ValueError):
     """A graph fails the hypotheses of the conjecture being scored."""
 
 
+class UnknownConjectureError(KeyError):
+    """A conjecture id outside the catalog."""
+
+
 class Verdict(Enum):
     CERTIFIED = "certified"
     UNCERTAIN = "uncertain"
@@ -165,7 +169,8 @@ def get_conjecture(conjecture_id: int) -> ConjectureSpec:
     try:
         return REGISTRY[conjecture_id]
     except KeyError:
-        raise KeyError(f"unknown conjecture id {conjecture_id}; valid ids are 1..10") from None
+        raise UnknownConjectureError(
+            f"unknown conjecture id {conjecture_id}; valid ids are 1..10") from None
 
 
 @dataclass(frozen=True)

@@ -169,10 +169,10 @@ def amcs(
         raise ValueError("time_budget must be finite and non-negative")
     if space is None:
         space = SearchSpace.TREES if params.trees_only else SearchSpace.CONNECTED
-    if space is SearchSpace.TREES and not initial.is_tree():
-        raise GraphError("tree search requires a tree as the initial graph")
-    if not initial.is_connected():
-        raise GraphError("search requires a connected initial graph")
+    trees = space is SearchSpace.TREES
+    if not (initial.is_tree() if trees else initial.is_connected()):
+        need = "a tree" if trees else "a connected graph"
+        raise GraphError(f"initial graph is not {need}, which the search space requires")
     if rng is None:
         rng = random.Random(params.seed)
     start = time.perf_counter()

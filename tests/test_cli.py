@@ -345,6 +345,78 @@ def test_refute_headline_run_is_pinned(capsys):
     assert "trace_sha256: 6fd132d2006f2204dc587edd64c0de533a7a925d69b83466192d60c566f858ad" in lines
 
 
+_UNKNOWN_ID = "graphrefute: 'unknown conjecture id 42; valid ids are 1..10'\n"
+_NOT_IN_SPACE = "graphrefute: initial graph is not {}, which the search space requires\n"
+_NO_FILE = ("graphrefute: cannot read graph file {tmp}/nofile.g6: [Errno 2] "
+            "No such file or directory: '{tmp}/nofile.g6'\n")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    ("refute --conjecture 42", 64, _UNKNOWN_ID),
+    ("refute --conjecture 1 --initial path:2", 65,
+     "graphrefute: initial graph violates hypotheses: order 2 is below the minimum 3\n"),
+    ("refute --conjecture 1 --initial cycle:5 --trees-only", 65, _NOT_IN_SPACE.format("a tree")),
+    ("refute --conjecture 4 --initial file:{tmp}/disc.g6 --trees-only", 65,
+     _NOT_IN_SPACE.format("a tree")),
+    ("refute --conjecture 4 --initial file:{tmp}/disc.g6 --no-trees-only", 65,
+     _NOT_IN_SPACE.format("a connected graph")),
+    ("refute --conjecture 1 --initial file:", 65,
+     "graphrefute: file recipe needs a path, e.g. file:start.g6\n"),
+    ("refute --conjecture 1 --initial path", 65,
+     "graphrefute: initial recipe 'path' needs an order, e.g. path:5\n"),
+    ("refute --conjecture 1 --initial path:x", 65,
+     "graphrefute: bad order 'x' in initial recipe\n"),
+    ("refute --conjecture 1 --initial wheel:5", 65, "graphrefute: unknown graph kind 'wheel'\n"),
+    ("refute --conjecture 1 --initial file:{tmp}/empty.g6", 65,
+     "graphrefute: no graph6 data in {tmp}/empty.g6\n"),
+    ("refute --conjecture 1 --initial file:{tmp}/pad.g6", 65,
+     "graphrefute: nonzero padding bits (byte 1)\n"),
+    ("score --conjecture 42 {tmp}/t1.g6", 64, _UNKNOWN_ID),
+    ("score --conjecture 5 {tmp}/nofile.g6", 65, _NO_FILE),
+    ("score --conjecture 5 {tmp}/c4.g6", 65, "graphrefute: conjecture 5: graph is not a tree\n"),
+    ("verify --conjecture 42 {tmp}/t1.g6", 64, _UNKNOWN_ID),
+    # The file is read before the conjecture is looked up.
+    ("verify --conjecture 42 {tmp}/nofile.g6", 65, _NO_FILE),
+    ("family T9 2", 64, "graphrefute: unknown family 'T9'; known families: T1, T2, T2B\n"),
+    ("family T1 5..2", 64, "graphrefute: bad parameter range '5..2'; use N or A..B\n"),
+    ("family T1 0", 64, "graphrefute: T1 requires parameter >= 1, got 0\n"),
+])
+def test_error_paths_pin_exit_code_and_stderr(tmp_path, capsys, argv, code, err):
+    files = {"disc.g6": "C`", "empty.g6": "", "pad.g6": "Bx",
+             "t1.g6": encode_graph6(build_family("T1", 2)), "c4.g6": encode_graph6(cycle(4))}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text and text + "\n")
+    tmp = str(tmp_path)
+    argv = [a.replace("{tmp}", tmp) for a in argv.split()]
+    assert run(capsys, argv) == (code, "", err.replace("{tmp}", tmp))
+
+
+@pytest.mark.parametrize("data, byte, offset", [
+    (b"\xff\xfeBw", 255, 0),
+    (b"B\xe2\x82\xac", 226, 1),
+    # A no-break space: a latin-1 decode and str.strip() would drop it.
+    (b"Bw\xa0", 160, 2),
+])
+def test_non_ascii_graph_file_is_bad_data(tmp_path, capsys, data, byte, offset):
+    target = tmp_path / "graph.g6"
+    target.write_bytes(data + b"\n")
+    err = f"graphrefute: byte {byte} outside graph6 range 63..126 (byte {offset})\n"
+    for argv in (["verify", "--conjecture", "1", str(target)],
+                 ["score", "--conjecture", "1", str(target)],
+                 ["refute", "--conjecture", "1", "--initial", f"file:{target}"]):
+        assert run(capsys, argv) == (65, "", err)
+
+
+def test_refute_seed_takes_a_list_like_seeds(capsys):
+    strip = lambda text: [l for l in text.splitlines() if not l.startswith("timing ")]
+    code_a, out_a, _ = run(capsys, ["refute", "--conjecture", "5", "--seed", "2,3"])
+    code_b, out_b, _ = run(capsys, ["refute", "--conjecture", "5", "--seeds", "2,3"])
+    assert code_a == code_b
+    assert strip(out_a) == strip(out_b)
+    config = next(l for l in strip(out_a) if l.startswith("config: "))
+    assert " seeds=2,3 " in config
+
+
 def _usage_error(capsys, argv):
     code, out, err = run(capsys, ["refute", "--conjecture", "5", *argv])
     assert code == 64
