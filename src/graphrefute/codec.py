@@ -8,7 +8,8 @@ The edge bits form one integer, and base64 regroups its bytes into 6-bit
 groups (a byte translation maps its alphabet onto graph6's). Decoding
 appends each edge to both rows in column order, so the rows come out sorted
 and need no re-validation; connectivity stays unknown until asked. Errors
-carry the offset of the failing byte.
+carry the offset of the failing byte in the stripped input, counted from its
+start, an optional ``>>graph6<<`` header included.
 """
 
 from __future__ import annotations
@@ -61,29 +62,29 @@ def encode_graph6(g: Graph) -> str:
 def decode_graph6(text: str) -> Graph:
     """Parse a graph6 string, raising Graph6Error with a byte offset."""
     s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
+    head = len(">>graph6<<") if s.startswith(">>graph6<<") else 0
+    s = s[head:]
     if not s:
-        raise Graph6Error("empty graph6 string", 0)
+        raise Graph6Error("empty graph6 string", head)
     data = s.encode() if s.isascii() else b""
     if not data or min(data) < 63 or max(data) > 126:
-        for pos, c in enumerate(s):
+        for pos, c in enumerate(s, head):
             if not (63 <= ord(c) <= 126):
                 raise Graph6Error(f"byte {ord(c)} outside graph6 range 63..126", pos)
     # The order takes 1 byte, "~" plus 3, or "~~" plus 6: data[pos // 3:pos].
     pos = 1 if data[0] != 126 else 4 if len(data) < 2 or data[1] != 126 else 8
     if len(data) < pos:
-        raise Graph6Error(f"truncated {pos}-byte order header", len(data))
+        raise Graph6Error(f"truncated {pos}-byte order header", head + len(data))
     n = 0
     for b in data[pos // 3:pos]:
         n = (n << 6) | (b - 63)
     if n < 1:
-        raise Graph6Error(f"graph order {n} must be >= 1", 0)
+        raise Graph6Error(f"graph order {n} must be >= 1", head)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     have = len(data) - pos
     if have != need:
-        raise Graph6Error(f"expected {need} edge bytes for order {n}, found {have}", pos)
+        raise Graph6Error(f"expected {need} edge bytes for order {n}, found {have}", head + pos)
     # The edge bits as one integer, padded with zero groups to whole base64
     # quanta; every bit past the first nbits must be zero.
     body = data[pos:].translate(_TO_BASE64)
@@ -91,7 +92,7 @@ def decode_graph6(text: str) -> Graph:
     spare = 6 * len(body) - nbits
     value = int.from_bytes(a2b_base64(body), "big")
     if value & ((1 << spare) - 1):
-        raise Graph6Error("nonzero padding bits", pos + nbits // 6)
+        raise Graph6Error("nonzero padding bits", head + pos + nbits // 6)
     # Column j holds rows i < j; scanning columns in order appends each row's
     # neighbours in ascending order.
     bits = bin((value >> spare) | (1 << nbits))

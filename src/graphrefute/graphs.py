@@ -83,12 +83,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):
@@ -191,8 +185,6 @@ def random_tree(n: int, rng: random.Random) -> Graph:
         raise GraphError(f"tree order must be >= 1, got {n}")
     if n == 1:
         return Graph(1)
-    if n == 2:
-        return Graph(2, [(0, 1)])
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:

@@ -31,11 +31,7 @@ _POLISH_RESIDUAL_TARGET = 1e-13
 
 
 class NumericError(ArithmeticError):
-    """Eigensolver failure or residual above target; carries the residual."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """Eigensolver failure or residual above target; the message gives the value."""
 
 
 class PerformanceWarning(UserWarning):
@@ -81,20 +77,17 @@ class Spectrum:
     residual_bound: float
 
 
-def symmetric_spectrum(m: np.ndarray, *, polish: bool = False):
-    """Ascending eigenvalues of a symmetric matrix with a certified error bound.
+def symmetric_spectrum(stack: np.ndarray, *, polish: bool = False) -> list[Spectrum]:
+    """Each symmetric matrix's ascending eigenvalues with a certified error
+    bound, for a stack (k, n, n), as a list of k Spectrum.
 
-    The fast path uses an a-priori backward-stability bound. With ``polish``
-    the residual matrix of the computed eigenpairs is measured explicitly,
-    which gives a much tighter bound for verification.
-
-    ``m`` may also be a stack (k, n, n), which the fast path solves in one
-    LAPACK call; the result is then the list of each matrix's Spectrum, each
-    with its own bound. Raises NumericError when the solver fails or, with
-    ``polish``, any matrix misses the residual target.
+    The fast path solves the stack in one LAPACK call and uses an a-priori
+    backward-stability bound. With ``polish`` the residual matrix of each
+    matrix's computed eigenpairs is measured explicitly, which gives a much
+    tighter bound for verification. Raises NumericError when the solver
+    fails or, with ``polish``, any matrix misses the residual target.
     """
-    a = np.asarray(m, dtype=np.float64)
-    stack = a if a.ndim == 3 else a[None]
+    stack = np.asarray(stack, dtype=np.float64)
     n = stack.shape[-1]
     # Frobenius norms. The sum of squares of an integer matrix is exact in
     # any order, so each equals np.linalg.norm(x, "fro") bit for bit.
@@ -109,14 +102,14 @@ def symmetric_spectrum(m: np.ndarray, *, polish: bool = False):
     for (vals, quality), norm in zip(solved, norms):
         if polish:
             if quality > _POLISH_RESIDUAL_TARGET * max(1.0, norm):
-                raise NumericError(f"eigenvalue residual {quality:.3e} above target", residual=quality)
+                raise NumericError(f"eigenvalue residual {quality:.3e} above target")
             # The bound adds the rounding incurred while evaluating the residual
             # itself (~ n*eps*norm), which grows with n and is not the solver's fault.
             bound = quality + 4.0 * n * _EPS * norm
         else:
             bound = 10.0 * n * _EPS * norm
         out.append(Spectrum(tuple(vals), bound))
-    return out if a.ndim == 3 else out[0]
+    return out
 
 
 def _polish(x: np.ndarray) -> tuple[list[float], float]:
@@ -128,33 +121,17 @@ def _polish(x: np.ndarray) -> tuple[list[float], float]:
     # grows with both, so the bound stays valid without two SVDs.
     r, orth = math.sqrt(np.vdot(resid, resid)), math.sqrt(np.vdot(gram, gram))
     if orth >= 0.5:
-        raise NumericError(f"eigenvector basis badly non-orthogonal ({orth:.3e})", residual=orth)
+        raise NumericError(f"eigenvector basis badly non-orthogonal ({orth:.3e})")
     return vals.tolist(), r / (1.0 - orth)
 
 
 # -- exact characteristic polynomials ----------------------------------------
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic characteristic polynomial with exact integer coefficients.
-
-    ``coeffs[k]`` multiplies x**k, so ``coeffs[-1] == 1``.
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def char_poly_exact(m: np.ndarray) -> CharPoly:
-    """Characteristic polynomial det(xI - M) of a square int64 matrix, such as
-    `adjacency_char_poly` and `distance_char_poly` build from a graph, by the
-    Berkowitz method.
+def char_poly_exact(m: np.ndarray) -> tuple[int, ...]:
+    """Coefficients of the characteristic polynomial det(xI - M) of a square
+    int64 matrix, by the Berkowitz method; ``coeffs[k]`` multiplies x**k, so
+    the last is 1.
 
     Division-free, so the coefficients are exact integers of any magnitude.
     """
@@ -177,15 +154,7 @@ def char_poly_exact(m: np.ndarray) -> CharPoly:
                 s += toep[i - j] * p[j]
             newp[i] = s
         p = newp
-    return CharPoly(tuple(reversed(p)))
-
-
-def adjacency_char_poly(g: Graph) -> CharPoly:
-    return char_poly_exact(adjacency_matrix(g))
-
-
-def distance_char_poly(g: Graph) -> CharPoly:
-    return char_poly_exact(all_pairs_distances(g))
+    return tuple(reversed(p))
 
 
 @dataclass(frozen=True)
@@ -212,12 +181,11 @@ def peak_stats(t: Graph) -> PeakStats:
     n = t.n
     if n < 2:
         raise GraphError("peak statistics require order >= 2")
-    cpa = adjacency_char_poly(t)
-    vals = [abs(c) for c in cpa.coeffs if c != 0]
+    vals = [abs(c) for c in char_poly_exact(adjacency_matrix(t)) if c != 0]
     p_a = vals.index(max(vals))
     m = len(vals) - 1
-    cpd = distance_char_poly(t)
-    scaled = [abs(cpd.coeffs[i]) << i for i in range(n - 1)]
+    cpd = char_poly_exact(all_pairs_distances(t))
+    scaled = [abs(cpd[i]) << i for i in range(n - 1)]
     p_d = scaled.index(max(scaled))
     return PeakStats(p_a=p_a, m=m, p_d=p_d)
 
@@ -236,10 +204,10 @@ def proximity(dist: np.ndarray) -> Fraction:
 # -- degree-based indices -----------------------------------------------------
 
 
-def randic(g: Graph, num=float, fsum=math.fsum):
+def randic(g: Graph, num, fsum):
     """Randic index, (deg(u) * deg(v))**-1/2 summed over edges, in the
-    arithmetic of ``num``, which converts an int, and ``fsum``: floats by
-    default, or a score's 60-digit or exact numbers."""
+    arithmetic of ``num``, which converts an int, and ``fsum``: a score's
+    floats, 60-digit or exact numbers."""
     adj = g._adj
     deg = list(map(len, adj))
     return fsum(num(deg[u] * deg[v]) ** -0.5 for u, nbrs in enumerate(adj) for v in nbrs if v > u)

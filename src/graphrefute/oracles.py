@@ -127,4 +127,4 @@ def proximity_float(g: Graph) -> float:
 
 def harmonic_float(g: Graph) -> float:
     """Floating-point harmonic index, for cross-checking the exact value."""
-    return math.fsum(2.0 / (g.degree(u) + g.degree(v)) for u, v in g.edges())
+    return math.fsum(2.0 / (len(g.neighbors(u)) + len(g.neighbors(v))) for u, v in g.edges())

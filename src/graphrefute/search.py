@@ -32,7 +32,7 @@ ScoreFn = Callable[[Graph], float]
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Knobs shared by the search entry points."""
+    """Knobs of an `amcs` run; `nmcs` takes its depth and level directly."""
 
     max_depth: int = 5
     max_level: int = 3

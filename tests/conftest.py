@@ -21,9 +21,17 @@ def pytest_configure(config):
     config.addinivalue_line("filterwarnings", "error::graphrefute.invariants.PerformanceWarning")
 
 
+def horner(coeffs: tuple[int, ...], x: float) -> float:
+    """The polynomial whose coeffs[k] multiplies x**k, evaluated at x in floats."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def lambda1(g: Graph) -> float:
     """Spectral radius of g's adjacency matrix."""
-    return symmetric_spectrum(adjacency_matrix(g)).values[-1]
+    return symmetric_spectrum(adjacency_matrix(g)[None])[0].values[-1]
 
 
 def star_with_two_tails(star_order: int, tail_a: int, tail_b: int) -> Graph:
@@ -86,9 +94,9 @@ def isomorphism(g: Graph, h: Graph) -> list[int] | None:
             return True
         v = order[i]
         for w in range(h.n):
-            if used[w] or h.degree(w) != g.degree(v):
+            if used[w] or len(h.neighbors(w)) != len(g.neighbors(v)):
                 continue
-            if all(h.has_edge(w, p[u]) == g.has_edge(v, u) for u in order[:i]):
+            if all((p[u] in h.neighbors(w)) == (u in g.neighbors(v)) for u in order[:i]):
                 p[v], used[w] = w, True
                 if extend(i + 1):
                     return True

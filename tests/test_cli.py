@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import write_g6
@@ -455,3 +460,38 @@ def test_refute_negative_tau_in_exponent_form(capsys):
         main(["refute", "--conjecture", "5", "--tau", "-1e-3"])
     assert info.value.code == 64
     assert "--tau: expected one argument" in capsys.readouterr().err
+
+
+# Each command, then the README's Library example, in a fresh interpreter in
+# which the test-only packages cannot be imported. argv[1] is a scratch
+# directory and argv[2] the example's source.
+_WITHOUT_TEST_PACKAGES = """
+import sys
+for name in ("networkx", "scipy", "pytest", "hypothesis"):
+    sys.modules[name] = None
+from graphrefute.cli import main
+out = sys.argv[1]
+assert main(["list"]) == 0
+assert main(["refute", "--conjecture", "5", "--seed", "1"]) == 0
+assert main(["family", "T2B", "1..3", "--verify"]) == 3
+assert main(["family", "T1", "2", "--out", out]) == 0
+assert main(["score", "--conjecture", "3", out + "/T1_2.g6"]) == 0
+exec(sys.argv[2])
+"""
+
+
+def test_runtime_needs_only_numpy_and_mpmath(tmp_path):
+    # The program's runtime dependencies are numpy and mpmath; networkx,
+    # scipy, pytest and hypothesis serve the tests only.
+    src = Path(cli.__file__).resolve().parents[1]
+    readme = (src.parent / "README.md").read_text()
+    example = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_TEST_PACKAGES, str(tmp_path), example],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # c3 on T1(2) reads both characteristic polynomials' peaks; the example
+    # ends by printing the verdict.
+    assert "part p_a: 2\npart p_d: 5\nscore: 0.1\n" in proc.stdout
+    assert proc.stdout.endswith(" Verdict.CERTIFIED\n")

@@ -42,31 +42,32 @@ def _reference_encode(g: Graph) -> str:
 
 
 def _reference_decode(text: str) -> Graph:
+    # Every index is into the stripped text, header included, so each error
+    # offset counts from its start.
     s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
-    if not s:
-        raise Graph6Error("empty graph6 string", 0)
+    h = len(">>graph6<<") if s.startswith(">>graph6<<") else 0
+    if len(s) == h:
+        raise Graph6Error("empty graph6 string", h)
     data = [ord(c) for c in s]
-    for pos, b in enumerate(data):
-        if not (63 <= b <= 126):
-            raise Graph6Error(f"byte {b} outside graph6 range 63..126", pos)
-    if data[0] != 126:
-        n, pos = data[0] - 63, 1
-    elif len(data) < 2 or data[1] != 126:
-        if len(data) < 4:
+    for pos in range(h, len(data)):
+        if not (63 <= data[pos] <= 126):
+            raise Graph6Error(f"byte {data[pos]} outside graph6 range 63..126", pos)
+    if data[h] != 126:
+        n, pos = data[h] - 63, h + 1
+    elif len(data) < h + 2 or data[h + 1] != 126:
+        if len(data) < h + 4:
             raise Graph6Error("truncated 4-byte order header", len(data))
-        n, pos = 0, 4
-        for b in data[1:4]:
+        n, pos = 0, h + 4
+        for b in data[h + 1:h + 4]:
             n = (n << 6) | (b - 63)
     else:
-        if len(data) < 8:
+        if len(data) < h + 8:
             raise Graph6Error("truncated 8-byte order header", len(data))
-        n, pos = 0, 8
-        for b in data[2:8]:
+        n, pos = 0, h + 8
+        for b in data[h + 2:h + 8]:
             n = (n << 6) | (b - 63)
     if n < 1:
-        raise Graph6Error(f"graph order {n} must be >= 1", 0)
+        raise Graph6Error(f"graph order {n} must be >= 1", h)
     nbits = n * (n - 1) // 2
     need, have = (nbits + 5) // 6, len(data) - pos
     if have != need:
@@ -139,6 +140,13 @@ def test_decode_errors_carry_offsets():
         with pytest.raises(Graph6Error, match=f"truncated {form} order header") as info:
             decode_graph6(text)
         assert info.value.offset == len(text)
+    # Offsets count from the start of the stripped input, header included.
+    header = ">>graph6<<"
+    for text, offset in ((header + "A_!", 12), (" " + header + "~?\n", 12),
+                         (header + "Bww", 11), (header, 10)):
+        with pytest.raises(Graph6Error) as info:
+            decode_graph6(text)
+        assert info.value.offset == offset, text
 
 
 def test_decode_rejects_nonzero_padding():
@@ -185,6 +193,9 @@ def _malformed_inputs() -> dict[str, str]:
         "tilde": "~", "tilde-one-byte": "~?", "two-tildes": "~~", "two-tildes-two-bytes": "~~??",
         "padding-bit": "Bh", "4-byte-header-edge-byte-missing": long_form[:-1],
         "4-byte-header-padding-bit": long_form[:-1] + chr(ord(long_form[-1]) + 1),
+        "header-only": ">>graph6<<", "header-low-byte": ">>graph6<<A_!",
+        "header-tilde": ">>graph6<<~?", "header-order-zero": ">>graph6<<?",
+        "header-edge-byte-extra": ">>graph6<<Bww", "header-padding-bit": ">>graph6<<Bh",
     }
 
 

@@ -39,10 +39,10 @@ def test_graph_basics():
     assert g.n == 4
     assert g.m == 3
     assert g.neighbors(1) == (0, 2)
-    assert g.degree(0) == 1
-    assert sorted(map(g.degree, range(4)), reverse=True) == [2, 2, 1, 1]
-    assert g.has_edge(2, 1)
-    assert not g.has_edge(0, 3)
+    assert len(g.neighbors(0)) == 1
+    assert sorted((len(g.neighbors(v)) for v in range(4)), reverse=True) == [2, 2, 1, 1]
+    assert 1 in g.neighbors(2)
+    assert 3 not in g.neighbors(0)
     assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
 
 
@@ -74,13 +74,13 @@ def test_graph_equality_and_hash():
 def test_constructors():
     p = path(5)
     assert (p.n, p.m) and p.is_tree()
-    assert sorted(map(p.degree, range(5)), reverse=True) == [2, 2, 2, 1, 1]
+    assert sorted((len(p.neighbors(v)) for v in range(5)), reverse=True) == [2, 2, 2, 1, 1]
     s = star(6)
-    assert s.is_tree() and s.degree(0) == 5
+    assert s.is_tree() and len(s.neighbors(0)) == 5
     k = complete(4)
     assert k.m == 6 and not k.is_tree() and k.is_connected()
     c = cycle(5)
-    assert c.m == 5 and all(c.degree(v) == 2 for v in range(5))
+    assert c.m == 5 and all(len(c.neighbors(v)) == 2 for v in range(5))
     assert construct("path", 3) == path(3)
     with pytest.raises(GraphError):
         construct("wheel", 5)
@@ -109,7 +109,12 @@ def test_random_tree_is_deterministic_and_valid():
     assert a == b
     assert a.is_tree()
     assert random_tree(1, random.Random(0)).n == 1
-    assert random_tree(2, random.Random(0)).m == 1
+    # Pruefer decoding of order 2 draws nothing and joins the two leaves.
+    rng = random.Random(0)
+    state = rng.getstate()
+    two = random_tree(2, rng)
+    assert two.m == 1 and two._adj == ((1,), (0,))
+    assert rng.getstate() == state
 
 
 def test_random_tree_hits_every_labeled_tree_on_four_vertices():
@@ -123,7 +128,7 @@ def test_connect_at():
     g = connect_at(path(3), path(2), 2, 0)
     assert g.n == 5
     assert g.m == 4
-    assert g.has_edge(2, 3)
+    assert 3 in g.neighbors(2)
     assert g.is_tree()
     with pytest.raises(GraphError):
         connect_at(path(3), path(2), 5, 0)
@@ -252,7 +257,7 @@ def test_backward_moves_match_a_validated_rebuild():
             g.is_connected()
         for gone in removable_vertices(g):
             kept = [e for e in g.edges() if gone not in e]
-            if g.degree(gone) == 2:
+            if len(g.neighbors(gone)) == 2:
                 kept.append(g.neighbors(gone))
             want = Graph(n - 1, [(u - (u > gone), v - (v > gone)) for u, v in kept])
             got = apply_move(g, gone)
@@ -288,7 +293,7 @@ def _expected_child(g: Graph, u: int, v: int) -> Graph:
     edges, new = list(g.edges()), g.n
     if v < 0:
         return Graph(new + 1, edges + [(u, new)])
-    if g.has_edge(u, v):
+    if v in g.neighbors(u):
         return Graph(new + 1, [e for e in edges if e != (u, v)] + [(u, new), (v, new)])
     return Graph(new, edges + [(u, v)])
 

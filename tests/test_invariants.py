@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import lambda1, random_connected_graph
+from conftest import horner, lambda1, random_connected_graph
 from graphrefute import oracles
 from graphrefute.graphs import (
     Graph, all_pairs_distances, complete, cycle, path, random_tree, star, walk_distances,
@@ -19,10 +19,8 @@ from graphrefute.graphs import (
 from graphrefute.invariants import (
     NumericError,
     PerformanceWarning,
-    adjacency_char_poly,
     adjacency_matrix,
     char_poly_exact,
-    distance_char_poly,
     domination_number,
     harmonic,
     independence_number,
@@ -34,6 +32,11 @@ from graphrefute.invariants import (
     randic,
     symmetric_spectrum,
 )
+
+
+def _spectrum(m, *, polish=False):
+    """symmetric_spectrum of one matrix: the first of a stack of one."""
+    return symmetric_spectrum(m[None], polish=polish)[0]
 
 
 def _laplacian(g):
@@ -56,34 +59,34 @@ def test_matrices():
 
 
 def test_adjacency_spectrum_frozen_values():
-    s = symmetric_spectrum(adjacency_matrix(path(3)))
+    s = _spectrum(adjacency_matrix(path(3)))
     assert s.values[::-1] == pytest.approx((math.sqrt(2), 0.0, -math.sqrt(2)), abs=1e-12)
-    k = symmetric_spectrum(adjacency_matrix(complete(4)))
+    k = _spectrum(adjacency_matrix(complete(4)))
     assert k.values[::-1] == pytest.approx((3.0, -1.0, -1.0, -1.0), abs=1e-12)
     assert lambda1(star(5)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_spectrum_error_bounds():
-    fast = symmetric_spectrum(adjacency_matrix(path(30)))
+    fast = _spectrum(adjacency_matrix(path(30)))
     assert 0 < fast.residual_bound <= 1e-10 * 30
-    polished = symmetric_spectrum(adjacency_matrix(path(30)), polish=True)
+    polished = _spectrum(adjacency_matrix(path(30)), polish=True)
     assert polished.residual_bound <= 1e-12
     assert polished.values == pytest.approx(fast.values, abs=1e-9)
 
 
 def test_laplacian_spectrum_and_connectivity():
-    s = symmetric_spectrum(_laplacian(complete(3)))
+    s = _spectrum(_laplacian(complete(3)))
     assert s.values == pytest.approx((0.0, 3.0, 3.0), abs=1e-12)
     # Algebraic connectivity: the second smallest Laplacian eigenvalue.
-    lap = symmetric_spectrum(_laplacian(path(2)))
+    lap = _spectrum(_laplacian(path(2)))
     assert lap.values[1] == pytest.approx(2.0, abs=1e-12)
     # lambda_2 of the adjacency matrix, not the Laplacian.
-    adj = symmetric_spectrum(adjacency_matrix(path(3)))
+    adj = _spectrum(adjacency_matrix(path(3)))
     assert adj.values[-2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_distance_spectrum_descending():
-    values = symmetric_spectrum(all_pairs_distances(path(3))).values[::-1]
+    values = _spectrum(all_pairs_distances(path(3))).values[::-1]
     assert values[0] >= values[-1]
     d = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     expected = sorted(np.linalg.eigvalsh(d), reverse=True)
@@ -92,42 +95,42 @@ def test_distance_spectrum_descending():
 
 def test_char_poly_exact_frozen():
     k2 = char_poly_exact(np.array([[0, 1], [1, 0]]))
-    assert k2.coeffs == (-1, 0, 1)
-    assert len(k2.coeffs) - 1 == 2
-    p3 = adjacency_char_poly(path(3))
-    assert p3.coeffs == (0, -2, 0, 1)
-    c3 = adjacency_char_poly(cycle(3))
-    assert c3.coeffs == (-2, -3, 0, 1)
-    assert c3(2) == 0
-    assert c3(-1) == 0
+    assert k2 == (-1, 0, 1)
+    assert len(k2) - 1 == 2
+    p3 = char_poly_exact(adjacency_matrix(path(3)))
+    assert p3 == (0, -2, 0, 1)
+    c3 = char_poly_exact(adjacency_matrix(cycle(3)))
+    assert c3 == (-2, -3, 0, 1)
+    assert horner(c3, 2) == 0
+    assert horner(c3, -1) == 0
 
 
 def test_char_poly_exact_big_integers():
     # K_25 has adjacency characteristic polynomial (x-24)(x+1)^24 whose
     # coefficients overflow 64-bit arithmetic; the roots must still be exact.
-    cp = adjacency_char_poly(complete(25))
-    assert cp(24) == 0
-    assert cp(-1) == 0
-    assert cp.coeffs[-1] == 1
-    assert all(isinstance(c, int) for c in cp.coeffs)
+    cp = char_poly_exact(adjacency_matrix(complete(25)))
+    assert horner(cp, 24) == 0
+    assert horner(cp, -1) == 0
+    assert cp[-1] == 1
+    assert all(isinstance(c, int) for c in cp)
 
 
 def test_char_poly_trace_coefficients():
     rng = random.Random(4)
     for _ in range(10):
         g = random_connected_graph(8, rng)
-        cp = adjacency_char_poly(g)
+        cp = char_poly_exact(adjacency_matrix(g))
         # Monic; x^{n-1} coefficient is -trace = 0; x^{n-2} one is -m.
-        assert cp.coeffs[-1] == 1
-        assert cp.coeffs[-2] == 0
-        assert cp.coeffs[-3] == -g.m
+        assert cp[-1] == 1
+        assert cp[-2] == 0
+        assert cp[-3] == -g.m
 
 
 def test_distance_char_poly_matches_floating_roots():
     g = random_tree(7, random.Random(1))
-    cp = distance_char_poly(g)
-    for lam in symmetric_spectrum(all_pairs_distances(g)).values:
-        assert abs(cp(lam)) <= 1e-6 * (1 + abs(lam)) ** g.n
+    cp = char_poly_exact(all_pairs_distances(g))
+    for lam in _spectrum(all_pairs_distances(g)).values:
+        assert abs(horner(cp, lam)) <= 1e-6 * (1 + abs(lam)) ** g.n
 
 
 def test_peak_stats_frozen():
@@ -159,8 +162,8 @@ def test_diameter_and_proximity():
 def test_chemical_indices_frozen():
     assert modified_second_zagreb(path(3)) == 1
     assert harmonic(path(3)) == Fraction(4, 3)
-    assert randic(path(3)) == pytest.approx(math.sqrt(2), abs=1e-12)
-    assert randic(complete(4)) == pytest.approx(2.0, abs=1e-12)
+    assert randic(path(3), float, math.fsum) == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert randic(complete(4), float, math.fsum) == pytest.approx(2.0, abs=1e-12)
     assert oracles.harmonic_float(path(3)) == pytest.approx(4 / 3, abs=1e-12)
 
 
@@ -171,7 +174,7 @@ def test_randic_general_matches_exact():
         g = random_connected_graph(7, rng)
         with mp.workdps(60):
             digits60 = randic(g, mp.mpf, mp.fsum)
-        assert randic(g) == pytest.approx(float(digits60), rel=1e-15)
+        assert randic(g, float, math.fsum) == pytest.approx(float(digits60), rel=1e-15)
 
 
 def _index_test_graphs():
@@ -186,7 +189,7 @@ def _index_test_graphs():
 def test_degree_indices_match_per_edge_sums():
     # Includes the edgeless n = 1 graph, stars and cliques.
     for g in _index_test_graphs():
-        deg = [g.degree(v) for v in range(g.n)]
+        deg = [len(g.neighbors(v)) for v in range(g.n)]
         edges = list(g.edges())
         assert harmonic(g) == sum((Fraction(2, deg[u] + deg[v]) for u, v in edges), Fraction(0))
         assert modified_second_zagreb(g) == sum(
@@ -219,7 +222,7 @@ def test_symmetric_spectrum_matches_reference_bit_for_bit():
     for g in graphs:
         for m in (adjacency_matrix(g), _laplacian(g), all_pairs_distances(g)):
             for polish in (False, True):
-                sp = symmetric_spectrum(m, polish=polish)
+                sp = _spectrum(m, polish=polish)
                 values, bound = _reference_spectrum(m, polish)
                 assert sp.values == values and sp.residual_bound == bound
                 assert all(type(x) is float for x in sp.values)
@@ -263,7 +266,7 @@ def test_stacks_equal_single_graph_matrices_bit_for_bit():
                     assert layer.tobytes() == build(g).astype(np.float64).tobytes()
                 batch = symmetric_spectrum(stack)
                 for layer, sp in zip(stack, batch):
-                    alone = symmetric_spectrum(layer)
+                    alone = _spectrum(layer)
                     assert sp.values == alone.values
                     assert sp.residual_bound == alone.residual_bound
 
@@ -272,11 +275,11 @@ def _fail_to_converge(*args, **kwargs):
     raise np.linalg.LinAlgError("planted")
 
 
-@pytest.mark.parametrize("graphs", [path(5), [path(5), star(5)]], ids=["matrix", "stack"])
+@pytest.mark.parametrize("graphs", [[path(5)], [path(5), star(5)]], ids=["matrix", "stack"])
 @pytest.mark.parametrize("polish", [False, True], ids=["eigvalsh", "eigh"])
 def test_a_failed_solve_raises_numeric_error(monkeypatch, polish, graphs):
-    # LAPACK's LinAlgError never escapes: a lone matrix and a stack both
-    # raise NumericError, the stack as a whole.
+    # LAPACK's LinAlgError never escapes: a stack of one matrix and a stack
+    # of two both raise NumericError, the stack as a whole.
     monkeypatch.setattr(np.linalg, "eigh" if polish else "eigvalsh", _fail_to_converge)
     with pytest.raises(NumericError, match="failed to converge"):
         symmetric_spectrum(adjacency_matrix(graphs), polish=polish)
@@ -286,8 +289,9 @@ def test_a_non_orthogonal_basis_raises_numeric_error(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda x: (eigh(x)[0], np.ones_like(x)))
     with pytest.raises(NumericError, match="non-orthogonal") as info:
-        symmetric_spectrum(adjacency_matrix(path(5)), polish=True)
-    assert info.value.residual >= 0.5
+        _spectrum(adjacency_matrix(path(5)), polish=True)
+    # The message carries the measured departure from orthogonality.
+    assert float(str(info.value).rpartition("(")[2].rstrip(")")) >= 0.5
 
 
 def test_matching_number_needs_blossoms():

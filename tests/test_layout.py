@@ -1,4 +1,5 @@
-"""Package layout: every top-level name in src/ has a caller in the program.
+"""Package layout: every top-level name in src/ has a caller in the program,
+and so does every method of a class there.
 
 A helper that only tests call belongs in the tests or in ``oracles.py``
 (the test-side reference implementations), not in the program. Here the
@@ -21,6 +22,8 @@ EXEMPT_FILES = {"oracles.py", "__init__.py"}
 # baseline that AMCS is to be measured against (ROADMAP item 6); the
 # benchmark will call it.
 KEPT = {"nmcs"}
+# Methods kept without an attribute read in the program, each with its reason.
+KEPT_MEMBERS = {"_Parser.error": "argparse calls it"}
 
 
 def _defined_names(tree: ast.Module) -> list[str]:
@@ -48,6 +51,28 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     return refs
 
 
+def _members(tree: ast.Module) -> list[str]:
+    """Cls.method for every function in a class body but the dunders."""
+    return [f"{cls.name}.{fn.name}" for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+
+
+def _attributes_read(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _src() -> dict[str, ast.Module]:
+    """The program's modules in src/ by file name, EXEMPT_FILES left out."""
+    return {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+            if p.name not in EXEMPT_FILES}
+
+
+def _bench() -> list[ast.Module]:
+    return [ast.parse(p.read_text()) for p in sorted(BENCH.rglob("*.py"))]
+
+
 def _bench_layers() -> tuple[tuple[str, str], ...]:
     """bench/spans.py's LAYER_FUNCTIONS, read from the file so that the
     benchmark itself is not imported."""
@@ -58,18 +83,31 @@ def _bench_layers() -> tuple[tuple[str, str], ...]:
 
 
 def test_every_top_level_name_is_used_in_src():
-    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
-             if p.name not in EXEMPT_FILES}
+    src = _src()
     referenced = set().union(
-        *(_referenced_names(t) for t in trees.values()),
-        *(_referenced_names(ast.parse(p.read_text())) for p in sorted(BENCH.rglob("*.py"))),
+        *(_referenced_names(t) for t in [*src.values(), *_bench()]),
         *(attr.split(".") for _, attr in _bench_layers()),
     )
-    defined = [(file, name) for file, tree in trees.items() for name in _defined_names(tree)]
+    defined = [(file, name) for file, tree in src.items() for name in _defined_names(tree)]
     unused = [f"{file}:{name}" for file, name in defined if name not in referenced | KEPT]
     assert unused == [], f"defined in src/ but never used by the program: {unused}"
     stale = (KEPT - {name for _, name in defined}) | (KEPT & referenced)
     assert not stale, f"KEPT names that are gone or now have a caller: {stale}"
+
+
+def test_every_method_is_used_in_src():
+    # A method is used when the program reads it as an attribute or the
+    # benchmark traces it; dataclass fields are not methods and go unchecked.
+    src = _src()
+    read = set().union(*(_attributes_read(t) for t in [*src.values(), *_bench()]))
+    traced = {attr for _, attr in _bench_layers()}
+    defined = [(file, member) for file, tree in src.items() for member in _members(tree)]
+    unused = [f"{file}:{member}" for file, member in defined
+              if member.split(".")[1] not in read and member not in traced | KEPT_MEMBERS.keys()]
+    assert unused == [], f"methods in src/ that the program never reads: {unused}"
+    stale = {member for member in KEPT_MEMBERS
+             if member not in {m for _, m in defined} or member.split(".")[1] in read}
+    assert not stale, f"KEPT_MEMBERS entries that are gone or now have a reader: {stale}"
 
 
 def test_every_bench_layer_resolves():
