@@ -322,11 +322,10 @@ def _score_2(g: Graph, ar: _Arithmetic) -> Score:
 
 
 def _score_3(g: Graph, ar: _Arithmetic) -> Score:
-    ps = inv.peak_stats(g)
-    gap = Fraction(ps.p_a, ps.m) - 1 + Fraction(ps.p_d, g.n)
-    exact = abs(gap)
+    p_a, m, p_d = inv.peak_stats(g)
+    exact = abs(Fraction(p_a, m) - 1 + Fraction(p_d, g.n))
     return Score(float(exact), exact, 0.0, {
-        "n": g.n, "p_a": ps.p_a, "m": ps.m, "p_d": ps.p_d,
+        "n": g.n, "p_a": p_a, "m": m, "p_d": p_d,
     })
 
 
@@ -352,9 +351,8 @@ def _score_5(g: Graph, ar: _Arithmetic) -> Score:
 
 
 def _score_6(g: Graph, ar: _Arithmetic) -> Score:
+    # c6's trees of order >= 2 have no isolated vertex, so gamma <= n/2 (Ore, 1962).
     gamma = inv.domination_number(g)
-    if gamma == g.n:
-        return _undefined("domination number equals the order")
     mz = inv.modified_second_zagreb(g)
     exact = -Fraction(gamma - 1, 2 * (g.n - gamma)) + Fraction(gamma + 1, 2) - mz
     return Score(float(exact), exact, 0.0, {

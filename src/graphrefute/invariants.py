@@ -3,10 +3,12 @@
 Spectral quantities come from LAPACK via numpy and always carry a residual
 bound so downstream sign decisions can be certified. Everything that can be
 exact stays exact: characteristic polynomials use big integers (Berkowitz,
-division-free), degree-based indices and proximity use ``fractions.Fraction``,
-and the NP-hard invariants (matching, independence, domination) are solved by
-exact combinatorial algorithms rather than heuristics. The walks these build
-on, ``bfs_tree`` from vertex 0 and all-pairs distances, live in ``graphs``.
+division-free, over Python ints in numpy object arrays), degree-based indices
+and proximity use ``fractions.Fraction``, and the NP-hard invariants
+(matching, independence, domination) are solved by exact combinatorial
+algorithms rather than heuristics; on trees, domination takes the linear
+greedy leaf rule. The walks these build on, ``bfs_tree`` from vertex 0 and
+all-pairs distances, live in ``graphs``.
 """
 
 from __future__ import annotations
@@ -133,33 +135,26 @@ def char_poly_exact(m: np.ndarray) -> tuple[int, ...]:
     int64 matrix, by the Berkowitz method; ``coeffs[k]`` multiplies x**k, so
     the last is 1.
 
-    Division-free, so the coefficients are exact integers of any magnitude.
+    Division-free, and computed over Python ints in object arrays, so the
+    coefficients are exact integers of any magnitude.
     """
-    rows = m.tolist()
+    a = m.astype(object)
     # p holds the char poly of the leading k x k block, highest degree first.
-    p = [1]
-    for k in range(len(rows)):
-        a = rows[k][k]
-        row_k = rows[k][:k]
-        vec = [rows[i][k] for i in range(k)]
-        toep = [1, -a]
-        for step in range(k):
-            toep.append(-sum(row_k[i] * vec[i] for i in range(k)))
-            if step < k - 1:
-                vec = [sum(rows[i][j] * vec[j] for j in range(k)) for i in range(k)]
-        newp = [0] * (k + 2)
-        for i in range(k + 2):
-            s = 0
-            for j in range(max(0, i - k - 1), min(i, k) + 1):
-                s += toep[i - j] * p[j]
-            newp[i] = s
-        p = newp
-    return tuple(reversed(p))
+    p = np.ones(1, dtype=object)
+    for k in range(len(a)):
+        row, vec, block = a[k, :k], a[:k, k], a[:k, :k]
+        # The Toeplitz column: 1, -a_kk, then -row A^j vec for j < k.
+        toep = [1, -a[k, k]]
+        for _ in range(k):
+            toep.append(-row.dot(vec))
+            vec = block.dot(vec)
+        p = np.convolve(np.array(toep, dtype=object), p)[:k + 2]
+    return tuple(p[::-1].tolist())
 
 
-@dataclass(frozen=True)
-class PeakStats:
-    """Peak positions of characteristic polynomial coefficients of a tree.
+def peak_stats(t: Graph) -> tuple[int, int, int]:
+    """Peak positions (p_a, m, p_d) of the characteristic polynomial
+    coefficients of a tree of order >= 2.
 
     ``p_a``: position of the largest |coefficient| within the list of
     nonzero adjacency coefficients taken in ascending exponent order;
@@ -168,26 +163,15 @@ class PeakStats:
     2^i * |d_i| over i = 0..n-2, compared as exact integers.
     Ties break to the smallest index.
     """
-
-    p_a: int
-    m: int
-    p_d: int
-
-
-def peak_stats(t: Graph) -> PeakStats:
-    """Compute adjacency/distance coefficient peaks of a tree of order >= 2."""
     if not t.is_tree():
         raise GraphError("peak statistics are defined for trees only")
     n = t.n
     if n < 2:
         raise GraphError("peak statistics require order >= 2")
     vals = [abs(c) for c in char_poly_exact(adjacency_matrix(t)) if c != 0]
-    p_a = vals.index(max(vals))
-    m = len(vals) - 1
     cpd = char_poly_exact(all_pairs_distances(t))
     scaled = [abs(cpd[i]) << i for i in range(n - 1)]
-    p_d = scaled.index(max(scaled))
-    return PeakStats(p_a=p_a, m=m, p_d=p_d)
+    return vals.index(max(vals)), len(vals) - 1, scaled.index(max(scaled))
 
 
 # -- metric invariants --------------------------------------------------------
@@ -398,41 +382,6 @@ def independence_number(g: Graph) -> int:
 # -- domination number --------------------------------------------------------
 
 
-def _domination_tree_dp(g: Graph) -> int:
-    """Exact domination number of a tree by rooted dynamic programming.
-
-    States per vertex: taken into the set; not taken but dominated by a
-    child; not taken and not yet dominated (its parent must be taken).
-    """
-    n = g.n
-    if n == 1:
-        return 1
-    inf = n + 1
-    order, parent = bfs_tree(g)
-    taken = [0] * n
-    dominated = [0] * n
-    needs = [0] * n
-    for u in reversed(order):
-        children = [v for v in g.neighbors(u) if parent[v] == u]
-        if not children:
-            taken[u] = 1
-            dominated[u] = inf
-            needs[u] = 0
-            continue
-        t = 1
-        base = 0
-        delta = inf
-        for c in children:
-            t += min(taken[c], dominated[c], needs[c])
-            cheapest = min(taken[c], dominated[c])
-            base += cheapest
-            delta = min(delta, taken[c] - cheapest)
-        taken[u] = t
-        needs[u] = base
-        dominated[u] = base + delta
-    return min(taken[order[0]], dominated[order[0]])
-
-
 def _domination_branch_bound(g: Graph) -> int:
     """Exact domination number by branching over dominators of an
     uncovered vertex with the fewest choices."""
@@ -481,9 +430,23 @@ def _domination_branch_bound(g: Graph) -> int:
 
 
 def domination_number(g: Graph) -> int:
-    """Minimum dominating set size: linear DP on trees, branch and bound
-    otherwise."""
+    """Minimum dominating set size: the greedy leaf rule on trees, branch
+    and bound otherwise.
+
+    The leaf rule walks a tree leaves first, and each vertex it finds still
+    undominated puts its parent (the root, itself) into the set; this is
+    exact (Cockayne, Goodman & Hedetniemi, Inf. Process. Lett. 4, 1975).
+    """
     if g.is_tree():
-        return _domination_tree_dp(g)
+        order, parent = bfs_tree(g)
+        dominated = [False] * g.n
+        size = 0
+        for u in reversed(order):
+            if not dominated[u]:
+                size += 1
+                dominated[parent[u]] = True
+                for v in g._adj[parent[u]]:
+                    dominated[v] = True
+        return size
     _check_size_guard("domination_number", g.n)
     return _domination_branch_bound(g)

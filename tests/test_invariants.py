@@ -13,8 +13,10 @@ import pytest
 
 from conftest import horner, lambda1, random_connected_graph
 from graphrefute import oracles
+from graphrefute.families import build_family
 from graphrefute.graphs import (
-    Graph, all_pairs_distances, complete, cycle, path, random_tree, star, walk_distances,
+    Graph, all_pairs_distances, bfs_tree, complete, cycle, path, random_tree, star,
+    walk_distances,
 )
 from graphrefute.invariants import (
     NumericError,
@@ -93,6 +95,50 @@ def test_distance_spectrum_descending():
     assert values == pytest.approx(tuple(expected), abs=1e-12)
 
 
+# A list-loop reference Berkowitz, the program's method before it moved to
+# object arrays: every product and sum is one Python step over nested lists.
+def _reference_char_poly(m: np.ndarray) -> tuple[int, ...]:
+    rows = m.tolist()
+    p = [1]
+    for k in range(len(rows)):
+        a = rows[k][k]
+        row_k = rows[k][:k]
+        vec = [rows[i][k] for i in range(k)]
+        toep = [1, -a]
+        for step in range(k):
+            toep.append(-sum(row_k[i] * vec[i] for i in range(k)))
+            if step < k - 1:
+                vec = [sum(rows[i][j] * vec[j] for j in range(k)) for i in range(k)]
+        newp = [0] * (k + 2)
+        for i in range(k + 2):
+            s = 0
+            for j in range(max(0, i - k - 1), min(i, k) + 1):
+                s += toep[i - j] * p[j]
+            newp[i] = s
+        p = newp
+    return tuple(reversed(p))
+
+
+def _assert_same_char_poly(m: np.ndarray) -> None:
+    cp = char_poly_exact(m)
+    assert cp == _reference_char_poly(m)
+    assert all(type(c) is int for c in cp)
+
+
+def test_char_poly_matches_the_list_reference():
+    rng = random.Random(29)
+    for n in range(1, 31):
+        for g in (random_tree(n, rng), random_connected_graph(n, rng)):
+            _assert_same_char_poly(adjacency_matrix(g))
+            _assert_same_char_poly(all_pairs_distances(g))
+    for n in range(1, 26):
+        _assert_same_char_poly(adjacency_matrix(complete(n)))
+    # A general integer matrix whose coefficients overflow int64.
+    big = np.array([[rng.randint(-10**6, 10**6) for _ in range(12)] for _ in range(12)])
+    _assert_same_char_poly(big)
+    assert max(map(abs, char_poly_exact(big))) >= 2**63
+
+
 def test_char_poly_exact_frozen():
     k2 = char_poly_exact(np.array([[0, 1], [1, 0]]))
     assert k2 == (-1, 0, 1)
@@ -134,13 +180,11 @@ def test_distance_char_poly_matches_floating_roots():
 
 
 def test_peak_stats_frozen():
-    p4 = peak_stats(path(4))
-    assert (p4.p_a, p4.m) == (1, 2)
-    p3 = peak_stats(path(3))
-    assert (p3.p_a, p3.m) == (0, 1)
-    assert 0 <= p3.p_d <= 1  # p_d ranges over 0..n-2
-    s5 = peak_stats(star(5))
-    assert (s5.p_a, s5.m) == (0, 1)
+    assert peak_stats(path(4))[:2] == (1, 2)
+    p_a, m, p_d = peak_stats(path(3))
+    assert (p_a, m) == (0, 1)
+    assert 0 <= p_d <= 1  # p_d ranges over 0..n-2
+    assert peak_stats(star(5))[:2] == (0, 1)
 
 
 def test_peak_stats_rejects_non_trees():
@@ -325,11 +369,56 @@ def test_exact_invariants_match_exhaustive_enumeration():
         assert domination_number(g) == oracles.domination_number_exhaustive(g)
 
 
-def test_tree_domination_dynamic_program_matches_exhaustive():
+def test_tree_domination_greedy_rule_matches_exhaustive():
     rng = random.Random(13)
     for _ in range(40):
         t = random_tree(rng.randrange(1, 11), rng)
         assert domination_number(t) == oracles.domination_number_exhaustive(t)
+
+
+# The three-state rooted dynamic program that decided tree domination
+# before the greedy leaf rule. Per vertex: taken into the set; not taken but
+# dominated by a child; not taken and not yet dominated (its parent must be
+# taken).
+def _reference_tree_domination(g: Graph) -> int:
+    n = g.n
+    if n == 1:
+        return 1
+    inf = n + 1
+    order, parent = bfs_tree(g)
+    taken = [0] * n
+    dominated = [0] * n
+    needs = [0] * n
+    for u in reversed(order):
+        children = [v for v in g.neighbors(u) if parent[v] == u]
+        if not children:
+            taken[u] = 1
+            dominated[u] = inf
+            needs[u] = 0
+            continue
+        t = 1
+        base = 0
+        delta = inf
+        for c in children:
+            t += min(taken[c], dominated[c], needs[c])
+            cheapest = min(taken[c], dominated[c])
+            base += cheapest
+            delta = min(delta, taken[c] - cheapest)
+        taken[u] = t
+        needs[u] = base
+        dominated[u] = base + delta
+    return min(taken[order[0]], dominated[order[0]])
+
+
+def test_tree_domination_greedy_rule_matches_the_dynamic_program():
+    # Trees of order >= 2 have no isolated vertex, so gamma <= n/2 (Ore).
+    rng = random.Random(29)
+    t2 = {k: build_family("T2", k) for k in range(1, 63)}  # orders 4..248
+    for t in [random_tree(rng.randrange(1, 201), rng) for _ in range(2000)] + list(t2.values()):
+        gamma = domination_number(t)
+        assert gamma == _reference_tree_domination(t)
+        assert t.n == 1 or 2 * gamma <= t.n
+    assert all(domination_number(t) == 2 * k for k, t in t2.items())
 
 
 def test_matching_counts_oracle_small():
