@@ -19,7 +19,8 @@ from typing import Callable
 import mpmath as mp
 
 from . import invariants as inv
-from .graphs import Graph, SearchSpace, all_pairs_distances, bfs_tree, walk_distances
+from .graphs import (Graph, SearchSpace, adjacency_matrix, all_pairs_distances, bfs_tree,
+                     walk_distances)
 
 NEG_INF = float("-inf")
 
@@ -35,6 +36,10 @@ class HypothesisError(ValueError):
 
 class UnknownConjectureError(KeyError):
     """A conjecture id outside the catalog."""
+
+    def __str__(self) -> str:
+        # KeyError's own __str__ is the repr of its argument, quotes and all.
+        return self.args[0]
 
 
 class Verdict(Enum):
@@ -261,9 +266,9 @@ class _Arithmetic:
         # One adjacency stack per chunk: Laplacians and non-tree distances derive from it.
         if build not in self._done:
             if build is inv.laplacian_matrix:
-                self._done[build] = build(self._stack(inv.adjacency_matrix))
+                self._done[build] = build(self._stack(adjacency_matrix))
             elif build is all_pairs_distances and any(h.m != h.n - 1 for h in self.chunk):
-                self._done[build] = walk_distances(self._stack(inv.adjacency_matrix))
+                self._done[build] = walk_distances(self._stack(adjacency_matrix))
             else:
                 self._done[build] = build(self.chunk)
         return self._done[build]
@@ -292,7 +297,7 @@ _CHUNK_ELEMENTS = 1 << 15
 
 
 def _score_1(g: Graph, ar: _Arithmetic) -> Score:
-    sp = ar.spectrum(g, inv.adjacency_matrix)
+    sp = ar.spectrum(g, adjacency_matrix)
     lam = sp.values[-1]
     mu = inv.matching_number(g)
     root = ar.sqrt(g.n - 1)
@@ -332,7 +337,7 @@ def _score_3(g: Graph, ar: _Arithmetic) -> Score:
 def _score_4(g: Graph, ar: _Arithmetic) -> Score:
     if g.n < 2:
         return _undefined("lambda_2 needs at least 2 vertices")
-    sp = ar.spectrum(g, inv.adjacency_matrix)
+    sp = ar.spectrum(g, adjacency_matrix)
     lam2 = sp.values[-2]
     h = inv.harmonic(g)
     value = lam2 - ar.num(h)
@@ -361,7 +366,7 @@ def _score_6(g: Graph, ar: _Arithmetic) -> Score:
 
 
 def _score_7(g: Graph, ar: _Arithmetic) -> Score:
-    sp = ar.spectrum(g, inv.adjacency_matrix)
+    sp = ar.spectrum(g, adjacency_matrix)
     lam = sp.values[-1]
     prox = inv.proximity(ar.matrix(g, all_pairs_distances))
     value = lam * ar.num(prox) - g.n + 1
@@ -392,7 +397,7 @@ def _score_8(g: Graph, ar: _Arithmetic) -> Score:
 
 
 def _score_9(g: Graph, ar: _Arithmetic) -> Score:
-    sp = ar.spectrum(g, inv.adjacency_matrix)
+    sp = ar.spectrum(g, adjacency_matrix)
     lam = sp.values[-1]
     alpha = inv.independence_number(g)
     root = ar.sqrt(g.n - 1)
@@ -553,7 +558,7 @@ class _Exact(_Arithmetic):
         self.read = defaultdict(lambda: lam)
 
     def spectrum(self, g: Graph, build) -> inv.Spectrum:
-        if build is not inv.adjacency_matrix or not g.is_tree():
+        if build is not adjacency_matrix or not g.is_tree():
             self._declines()
         return inv.Spectrum(self.read, 0)
 

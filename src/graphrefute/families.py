@@ -63,7 +63,6 @@ def _build_t2b(b: int) -> Graph:
 class FamilySpec:
     name: str
     description: str
-    min_param: int
     order_formula: str
     build: Callable[[int], Graph]
     # quantity -> (least parameter the form is proven from, form). A name
@@ -84,7 +83,6 @@ FAMILIES: dict[str, FamilySpec] = {
     "T1": FamilySpec(
         "T1",
         "spine of k vertices, two pendant 2-paths per spine vertex",
-        1,
         "5k",
         _build_t1,
         {
@@ -96,7 +94,6 @@ FAMILIES: dict[str, FamilySpec] = {
     "T2": FamilySpec(
         "T2",
         "spine of k vertices, one pendant 2-path and one leaf per spine vertex",
-        1,
         "4k",
         _build_t2,
         {
@@ -112,7 +109,6 @@ FAMILIES: dict[str, FamilySpec] = {
     "T2B": FamilySpec(
         "T2B",
         "two stars of order b, centers joined to a middle vertex",
-        1,
         "2b+1",
         _build_t2b,
         {
@@ -139,8 +135,8 @@ def get_family(name: str) -> FamilySpec:
 def build_family(name: str, p: int) -> Graph:
     """Construct the p-th member of a family."""
     spec = get_family(name)
-    if p < spec.min_param:
-        raise FamilyError(f"{name} requires parameter >= {spec.min_param}, got {p}")
+    if p < 1:
+        raise FamilyError(f"{name} requires parameter >= 1, got {p}")
     return spec.build(p)
 
 

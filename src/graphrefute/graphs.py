@@ -136,22 +136,16 @@ def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
 
 def path(n: int) -> Graph:
     """Return the path P_n with edges (i, i+1)."""
-    if n < 1:
-        raise GraphError(f"path order must be >= 1, got {n}")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star(n: int) -> Graph:
     """Return the star S_n with center 0 and leaves 1..n-1."""
-    if n < 1:
-        raise GraphError(f"star order must be >= 1, got {n}")
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
 def complete(n: int) -> Graph:
     """Return the complete graph K_n."""
-    if n < 1:
-        raise GraphError(f"complete graph order must be >= 1, got {n}")
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -181,10 +175,8 @@ def construct(kind: str, n: int) -> Graph:
 
 def random_tree(n: int, rng: random.Random) -> Graph:
     """Return a uniformly random labeled tree on n vertices (Pruefer decode)."""
-    if n < 1:
-        raise GraphError(f"tree order must be >= 1, got {n}")
-    if n == 1:
-        return Graph(1)
+    if n <= 1:
+        return Graph(n)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:

@@ -350,7 +350,7 @@ def test_refute_headline_run_is_pinned(capsys):
     assert "trace_sha256: 6fd132d2006f2204dc587edd64c0de533a7a925d69b83466192d60c566f858ad" in lines
 
 
-_UNKNOWN_ID = "graphrefute: 'unknown conjecture id 42; valid ids are 1..10'\n"
+_UNKNOWN_ID = "graphrefute: unknown conjecture id 42; valid ids are 1..10\n"
 _NOT_IN_SPACE = "graphrefute: initial graph is not {}, which the search space requires\n"
 _NO_FILE = ("graphrefute: cannot read graph file {tmp}/nofile.g6: [Errno 2] "
             "No such file or directory: '{tmp}/nofile.g6'\n")
@@ -372,6 +372,7 @@ _NO_FILE = ("graphrefute: cannot read graph file {tmp}/nofile.g6: [Errno 2] "
     ("refute --conjecture 1 --initial path:x", 65,
      "graphrefute: bad order 'x' in initial recipe\n"),
     ("refute --conjecture 1 --initial wheel:5", 65, "graphrefute: unknown graph kind 'wheel'\n"),
+    ("refute --conjecture 1 --initial path:0", 65, "graphrefute: graph order must be >= 1, got 0\n"),
     ("refute --conjecture 1 --initial file:{tmp}/empty.g6", 65,
      "graphrefute: no graph6 data in {tmp}/empty.g6\n"),
     ("refute --conjecture 1 --initial file:{tmp}/pad.g6", 65,

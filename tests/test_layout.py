@@ -1,10 +1,12 @@
 """Package layout: every top-level name in src/ has a caller in the program,
-and so does every method of a class there.
+and so does every method of a class there. Every name a module in src/
+imports is read in that module, so each name has one import path: its
+defining module, not a re-export from another.
 
 A helper that only tests call belongs in the tests or in ``oracles.py``
 (the test-side reference implementations), not in the program. Here the
-program is every module in src/ but ``__init__.py`` (whose re-exports call
-nothing) and ``oracles.py``, plus every file under bench/.
+program is every module in src/ but ``oracles.py``, plus every file under
+bench/.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import graphrefute
 
 PACKAGE = Path(graphrefute.__file__).resolve().parent
 BENCH = PACKAGE.parent.parent / "bench"
-EXEMPT_FILES = {"oracles.py", "__init__.py"}
+EXEMPT_FILES = {"oracles.py"}
 # Names kept without a caller, each with its reason. nmcs is the plain NMCS
 # baseline that AMCS is to be measured against (ROADMAP item 6); the
 # benchmark will call it.
@@ -61,6 +63,18 @@ def _members(tree: ast.Module) -> list[str]:
 def _attributes_read(tree: ast.Module) -> set[str]:
     return {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """Names an import binds that the module never loads; the bound name of
+    ``import a.b`` is ``a``."""
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    return [name for name in bound if name not in loaded]
 
 
 def _src() -> dict[str, ast.Module]:
@@ -108,6 +122,13 @@ def test_every_method_is_used_in_src():
     stale = {member for member in KEPT_MEMBERS
              if member not in {m for _, m in defined} or member.split(".")[1] in read}
     assert not stale, f"KEPT_MEMBERS entries that are gone or now have a reader: {stale}"
+
+
+def test_every_import_in_src_is_read():
+    # oracles.py included: an import nothing reads is a second path to a name.
+    unread = [f"{p.name}:{name}" for p in sorted(PACKAGE.glob("*.py"))
+              for name in _unread_imports(ast.parse(p.read_text()))]
+    assert unread == [], f"names imported in src/ but never read there: {unread}"
 
 
 def test_every_bench_layer_resolves():
