@@ -4,13 +4,14 @@ Each conjecture asserts an inequality bound on graph invariants. Its score
 function is arranged so that a score strictly greater than zero witnesses a
 violation; searches therefore maximize the score. Scores built purely from
 rational invariants are carried exactly; spectral scores carry an explicit
-error bound so that `verify_strict` can certify the sign of the result.
+error bound. `verify_strict` first evaluates the formula once in exact
+arithmetic; what that declines is decided by the polished float band, then
+at 60 digits up to MP_MAX_ORDER vertices, and is Uncertain above.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -202,7 +203,9 @@ def _undefined(reason: str) -> Score:
 
 
 def _slop(*terms: float) -> float:
-    """Rounding allowance for a handful of float operations on `terms`."""
+    """Rounding allowance for a handful of float operations on `terms`; 0 on _Surd."""
+    if type(terms[0]) is _Surd:
+        return 0.0
     scale = 1.0
     for t in terms:
         scale += abs(t)
@@ -491,15 +494,17 @@ class _NotExact(ArithmeticError):
 
 
 class _Surd:
-    """(p + q*sqrt(c))/d in lowest terms over the integers, d > 0, c squarefree
-    or 0 if no root was taken. Other operands count at their exact value, a
-    float's binary one too (formulas write 1.0); two radicands raise _NotExact."""
+    """(p + q*sqrt(c) + l*lam)/d in lowest terms over the integers, d > 0, c
+    squarefree or 0 if no root was taken, lam the one eigenvalue a formula
+    reads (`_Exact`). Other operands count at their exact value, a float's
+    binary one too (formulas write 1.0). Two radicands, or lam times a root
+    or lam, raise _NotExact."""
 
-    __slots__ = ("p", "d", "q", "c")
+    __slots__ = ("p", "d", "q", "c", "l")
 
-    def __init__(self, p: int, d: int = 1, q: int = 0, c: int = 0):
-        g = math.gcd(p, q, d) if d > 0 else -math.gcd(p, q, d)
-        self.p, self.d, self.q, self.c = p // g, d // g, q // g, c
+    def __init__(self, p: int, d: int = 1, q: int = 0, c: int = 0, l: int = 0):
+        g = math.gcd(p, q, l, d) if d > 0 else -math.gcd(p, q, l, d)
+        self.p, self.d, self.q, self.c, self.l = p // g, d // g, q // g, c, l // g
 
     def _lift(self, x) -> _Surd:
         if type(x) is not _Surd:
@@ -511,123 +516,130 @@ class _Surd:
     def __add__(self, x):
         x = self._lift(x)
         return _Surd(self.p * x.d + x.p * self.d, self.d * x.d,
-                     self.q * x.d + x.q * self.d, self.c or x.c)
+                     self.q * x.d + x.q * self.d, self.c or x.c, self.l * x.d + x.l * self.d)
 
     def __mul__(self, x):
         x = self._lift(x)
+        if self.l and (x.q or x.l) or x.l and self.q:
+            raise _NotExact("lam times a root or lam")
         c = self.c or x.c
         return _Surd(self.p * x.p + self.q * x.q * c, self.d * x.d,
-                     self.p * x.q + self.q * x.p, c)
+                     self.p * x.q + self.q * x.p, c, self.l * x.p + x.l * self.p)
 
     __radd__, __rmul__ = __add__, __mul__
 
     def __sub__(self, x):
         return self + self._lift(x) * -1
 
-    def __truediv__(self, x):
-        # 1/x = d(p - q sqrt c)/(p^2 - q^2 c), whose norm is 0 only when x is.
-        x = self._lift(x)
-        return self * _Surd(x.d * x.p, x.p * x.p - x.q * x.q * x.c, -x.d * x.q, x.c)
-
     def __pow__(self, e):
         # sqrt(x) = s sqrt(c), c squarefree, and c10's x ** -0.5 = sqrt(x)/x.
-        if abs(e) != 0.5 or self.q or self.d != 1 or self.p < 0:
+        if abs(e) != 0.5 or self.q or self.l or self.d != 1 or self.p < 0:
             raise _NotExact("power")
         s = max((f for f in range(1, math.isqrt(self.p) + 1) if self.p % (f * f) == 0), default=1)
         c, d = self.p // (s * s), 1 if e > 0 else self.p
         return _Surd(s * c, d) if c < 2 else _Surd(0, d, s, c)
 
-    def __abs__(self):
-        return self * self.sign()
 
-    def sign(self) -> int:
-        sp, sq = (self.p > 0) - (self.p < 0), (self.q > 0) - (self.q < 0)
-        if sp * sq >= 0:
-            return sp or sq
-        # Opposite signs: the larger of p^2 and q^2 c wins, and they differ.
-        return sp if self.p * self.p > self.q * self.q * self.c else sq
+def _sign(p: int, q: int, c: int) -> int:
+    """The sign of p + q*sqrt(c), c squarefree."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    # Opposite signs: the larger of p^2 and q^2 c wins, and they differ.
+    return sp if p * p > q * q * c else sq
 
 
-class _Exact(_Arithmetic):
-    """_Surd on one tree, where each adjacency eigenvalue read is ``lam``, keyed
-    by index in ``read``. Other spectra, non-trees and cosines raise _NotExact."""
+class _Exact:
+    """The exact arithmetic on one graph, in _Surd: `_Arithmetic`'s interface
+    for a single evaluation, but for cosines, which only c8 reads, after its
+    Laplacian spectrum. A tree's adjacency spectrum reads as the unknown lam,
+    and ``read`` keeps the index read; other spectra raise _NotExact."""
 
-    def __init__(self, g: Graph, lam: _Surd):
-        super().__init__(None, lambda x: _Surd(x) ** 0.5, self._declines, math.pi, sum,
-                         lambda x: _Surd(*x.as_integer_ratio()), [g])
-        self.read = defaultdict(lambda: lam)
+    sqrt = staticmethod(lambda x: _Surd(x) ** 0.5)
+    num = staticmethod(lambda x: _Surd(*x.as_integer_ratio()))
+    matrix = staticmethod(lambda g, build: build(g))  # g alone, no stack
+    fsum, read = sum, None
 
     def spectrum(self, g: Graph, build) -> inv.Spectrum:
         if build is not adjacency_matrix or not g.is_tree():
-            self._declines()
-        return inv.Spectrum(self.read, 0)
+            raise _NotExact("no exact spectrum")
+        return inv.Spectrum(self, 0)
 
-    def _declines(self, *args):
-        raise _NotExact("no exact evaluation")
+    def __getitem__(self, i: int) -> _Surd:
+        if self.read not in (None, i):  # a second eigenvalue is a second unknown
+            raise _NotExact("two eigenvalues")
+        self.read = i
+        return _Surd(0, l=1)
 
 
 def _tree_inertia(g: Graph, t: _Surd) -> tuple[int, int]:
     """How many eigenvalues of tree g's adjacency A lie above t and at t, by Jacobs &
-    Trevisan's diagonalisation of A - tI (Linear Algebra Appl. 434, 2011)."""
+    Trevisan's diagonalisation of A - tI (Linear Algebra Appl. 434, 2011). Each
+    entry (p + q sqrt c)/d, c = t.c, is kept as ints (p, q, d) in lowest terms."""
     order, parent = bfs_tree(g)
-    start, leaf = t * -1, (t.p or t.q) and _Surd(1) / t  # a leaf adds -1/(-t)
-    diag, zero_child = [start] * g.n, [-1] * g.n
+    c = t.c
+    diag, zero_child = [(-t.p, -t.q, t.d)] * g.n, [-1] * g.n
     for v in reversed(order):
-        d = diag[v]
+        p, q, d = diag[v]
         if zero_child[v] >= 0:
             # That child becomes 2 and v becomes -1/2; v's edge up is cut.
-            diag[zero_child[v]], diag[v] = _Surd(2), _Surd(-1, 2)
-        elif v and not (d.p or d.q):
+            diag[zero_child[v]], diag[v] = (2, 0, 1), (-1, 0, 2)
+        elif v and not (p or q):
             zero_child[parent[v]] = v
         elif v:
-            diag[parent[v]] = diag[parent[v]] + (leaf if d is start else _Surd(-1) / d)
-    signs = [d.sign() for d in diag]
+            # The parent's entry gains -1/diag[v] = -d(p - q sqrt c)/(p^2 - q^2 c).
+            norm, (up, uq, ud) = p * p - q * q * c, diag[parent[v]]
+            up, uq, ud = up * norm - d * p * ud, uq * norm + d * q * ud, ud * norm
+            k = math.gcd(up, uq, ud) if ud > 0 else -math.gcd(up, uq, ud)
+            diag[parent[v]] = (up // k, uq // k, ud // k)
+    signs = [_sign(p, q, c) for p, q, _ in diag]
     return signs.count(1), signs.count(0)
 
 
 def _exact_sign(conjecture_id: int, g: Graph) -> int | None:
-    """The sign of g's score in exact arithmetic, or None if that declines.
+    """The sign of g's score in exact arithmetic, or None if that declines;
+    verify_strict asks it first, before any float eigensolve.
 
-    At lam = 0 and 1, a formula reading the k-th largest eigenvalue lam_k gives
-    a + b*lam_k, zero at t = -a/b, and an inertia count places lam_k against t."""
-    scorer = _SCORERS[conjecture_id]
+    One pass of the formula decides a rational score. A formula reading the
+    k-th largest eigenvalue lam_k of a tree gives a + b*lam_k instead, zero at
+    t = -a/b, and an inertia count places lam_k against t."""
     try:
-        a = scorer(g, ar := _Exact(g, _Surd(0))).value
-        if not ar.read:
-            return a.sign()
-        b = scorer(g, _Exact(g, _Surd(1))).value - a
-        above, equal = _tree_inertia(g, a / b * -1)
+        sc = _SCORERS[conjecture_id](g, ar := _Exact())
     except _NotExact:
         return None
-    (i,) = ar.read  # each formula reads one eigenvalue
-    k = g.n - range(g.n)[i]
-    return b.sign() * (1 if above >= k else 0 if above + equal >= k else -1)
+    v = sc.value if sc.exact is None else sc.exact
+    if type(v) is not _Surd:  # a Fraction, or -inf for an undefined sub-term
+        return (v > 0) - (v < 0)
+    if not v.l:
+        return _sign(v.p, v.q, v.c)
+    above, equal = _tree_inertia(g, _Surd(-v.p, v.l, -v.q, v.c))
+    k = g.n - range(g.n)[ar.read]
+    return (1 if v.l > 0 else -1) * (1 if above >= k else 0 if above + equal >= k else -1)
 
 
 def verify_strict(conjecture_id: int, g: Graph) -> Verdict:
     """Final arbiter for counterexample candidates.
 
-    Hypotheses are re-checked; rational scores are decided by exact sign.
-    Spectral scores are recomputed with tight residual bounds. A band that
-    still straddles zero is decided exactly, at any order, for c1, c4, c7
-    and c9 on trees and c10 on one radicand (`_exact_sign`); anything else
+    Hypotheses are re-checked, then the score formula is evaluated once in
+    exact arithmetic (`_exact_sign`). That decides every rational score, c1,
+    c4, c7 and c9 on trees at any order, and c10 on one radicand. What it
+    declines (c2, c8, spectra of non-trees, c10 on two radicands) is
+    recomputed with tight residual bounds; a band that still straddles zero
     is re-evaluated at 60 digits, or is Uncertain above MP_MAX_ORDER.
     """
     if check_hypotheses(conjecture_id, g):
         return Verdict.REJECTED
+    sign = _exact_sign(conjecture_id, g)
+    if sign is not None:
+        return Verdict.CERTIFIED if sign > 0 else Verdict.REJECTED
     sc = _SCORERS[conjecture_id](g, _POLISHED.over([g]))
     if sc.value == NEG_INF:
         return Verdict.REJECTED
-    if sc.exact is not None:
-        return Verdict.CERTIFIED if sc.exact > 0 else Verdict.REJECTED
     err = sc.spectral_error_bound
     if sc.value - err > 0:
         return Verdict.CERTIFIED
     if sc.value + err < 0:
         return Verdict.REJECTED
-    sign = _exact_sign(conjecture_id, g)
-    if sign is not None:
-        return Verdict.CERTIFIED if sign > 0 else Verdict.REJECTED
     if g.n > MP_MAX_ORDER:
         return Verdict.UNCERTAIN
     with mp.workdps(_MP_DPS):

@@ -181,8 +181,10 @@ def test_verify_strict_verdicts():
     ],
 )
 def test_verify_strict_60_digit_path(monkeypatch, cid, g, verdict):
-    # A huge float error band straddles zero, so every verdict below comes
-    # from the 60-digit re-evaluation (or from the order limit on it).
+    # A huge float error band straddles zero. The c1, c4 and c9 rows on trees
+    # and c10 on a star are decided by the exact pass before any float band;
+    # every other verdict comes from the 60-digit re-evaluation (or from the
+    # order limit on it).
     monkeypatch.setattr(conjectures, "_slop", lambda *terms: 1e6)
     assert verify_strict(cid, g) is verdict
 
@@ -208,6 +210,52 @@ def test_verify_strict_decides_trees_exactly(monkeypatch):
                 assert cid == 10 or conjectures._exact_sign(cid, g) is not None
                 checked += 1
     assert checked == 466
+
+
+def test_tree_verdicts_need_no_float_eigensolve(monkeypatch):
+    # c1, c4, c7 and c9 on a tree are decided by the exact pass alone: with
+    # both float eigensolvers refusing, every verdict still equals the
+    # 60-digit one, and stars and T(2,b) to 249 vertices get their known ones.
+    nx = pytest.importorskip("networkx")
+    trees = [from_networkx(t) for n in range(2, 10) for t in nx.nonisomorphic_trees(n)]
+    zero_band = mp.mpf(10) ** -45
+    expected = {}
+    for g in trees:
+        for cid in (1, 4, 7, 9):
+            if not check_hypotheses(cid, g):
+                with mp.workdps(60):
+                    refined = conjectures._SCORERS[cid](g, conjectures._DIGITS60.over([g])).value
+                expected[cid, g] = Verdict.CERTIFIED if refined > zero_band else Verdict.REJECTED
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("float eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for (cid, g), verdict in expected.items():
+        assert verify_strict(cid, g) is verdict, (cid, list(g.edges()))
+    for n in (3, 8, 64, 65, 128, 249):
+        for cid in (1, 4, 7, 9):
+            assert verify_strict(cid, star(n)) is Verdict.REJECTED, (cid, n)
+    for b in (1, 8, 9, 10, 64, 124):  # s9(T(2,b)) > 0 exactly when b >= 9
+        expected_c9 = Verdict.CERTIFIED if b >= 9 else Verdict.REJECTED
+        assert verify_strict(9, build_family("T2B", b)) is expected_c9, b
+
+
+@pytest.mark.parametrize(("cid", "g", "solver"), [
+    (1, build_family("T2B", 9), "matching_number"),
+    (9, build_family("T2B", 9), "independence_number"),
+    (7, path(12), "all_pairs_distances"),
+])
+def test_verify_strict_runs_each_exact_solver_once(monkeypatch, cid, g, solver):
+    # The exact pass carries the eigenvalue as an unknown, so it evaluates the
+    # formula once; a tree's verdict needs no float pass after it.
+    owner = conjectures if solver == "all_pairs_distances" else conjectures.inv
+    calls = []
+    run = getattr(owner, solver)
+    monkeypatch.setattr(owner, solver, lambda x: calls.append(x) or run(x))
+    verify_strict(cid, g)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("cid", [9, 10])
@@ -496,7 +544,7 @@ def test_a_member_whose_chunk_fails_is_scored_alone(monkeypatch):
 def test_a_non_orthogonal_basis_fails_polished_scores_and_verify_strict(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda x: (eigh(x)[0], np.ones_like(x)))
-    g = path(5)
+    g = cycle(5)  # a tree would be decided exactly, before any eigensolve
     for check in (lambda: score(7, g, polish=True), lambda: verify_strict(7, g)):
         with pytest.raises(NumericError, match="non-orthogonal"):
             check()
