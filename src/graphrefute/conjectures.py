@@ -185,7 +185,8 @@ class Score:
 
     ``value`` is the float score; ``exact`` is set when the whole score is
     rational and then equals it exactly. ``spectral_error_bound`` bounds the
-    absolute error of ``value`` (zero for exact scores). ``parts`` holds the
+    absolute error of ``value`` (zero for exact scores, inf for a fast
+    spectral score, whose spectrum carries no bound). ``parts`` holds the
     named sub-terms that went into the formula; rational ones are kept as
     int/Fraction. `score` hands a memoised Score to every caller: do not
     mutate ``parts``.
@@ -283,9 +284,9 @@ def _floats(polish: bool) -> _Arithmetic:
 
 
 def _mp_spectra(stack) -> list[inv.Spectrum]:
-    # No bound of its own: verify_strict reads only the value, against its zero band.
-    return [inv.Spectrum(tuple(sorted(mp.eigsy(mp.matrix(m.tolist()), eigvals_only=True))), 0.0)
-            for m in stack]
+    # No bound (inf): verify_strict reads only the value, against its zero band.
+    return [inv.Spectrum(tuple(sorted(mp.eigsy(mp.matrix(m.tolist()), eigvals_only=True))),
+                         math.inf) for m in stack]
 
 
 _FAST = _floats(polish=False)

@@ -1,14 +1,15 @@
 """Exact and floating-point graph invariants.
 
-Spectral quantities come from LAPACK via numpy and always carry a residual
-bound so downstream sign decisions can be certified. Everything that can be
-exact stays exact: characteristic polynomials use big integers (Berkowitz,
-division-free, over Python ints in numpy object arrays), degree-based indices
-and proximity use ``fractions.Fraction``, and the NP-hard invariants
-(matching, independence, domination) are solved by exact combinatorial
-algorithms rather than heuristics; on trees, domination takes the linear
-greedy leaf rule. The walks these build on, ``bfs_tree`` from vertex 0 and
-all-pairs distances, live in ``graphs``.
+Spectral quantities come from LAPACK via numpy. A polished spectrum carries
+a measured residual bound, which certified sign decisions read; a fast one
+carries none (inf), because the search compares values only. Everything
+that can be exact stays exact: characteristic polynomials use big integers
+(Berkowitz, division-free, over Python ints in numpy object arrays),
+degree-based indices and proximity use ``fractions.Fraction``, and the
+NP-hard invariants (matching, independence, domination) are solved by exact
+combinatorial algorithms rather than heuristics; on trees, domination takes
+the linear greedy leaf rule. The walks these build on, ``bfs_tree`` from
+vertex 0 and all-pairs distances, live in ``graphs``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import warnings
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import numpy as np
 
@@ -72,7 +76,8 @@ class Spectrum:
     """Eigenvalues of a symmetric matrix plus an absolute error bound.
 
     ``residual_bound`` bounds |computed - true| for every eigenvalue when the
-    computed values are matched to the true ones in sorted order.
+    computed values are matched to the true ones in sorted order; it is inf
+    where nothing was measured.
     """
 
     values: tuple[float, ...]
@@ -80,51 +85,44 @@ class Spectrum:
 
 
 def symmetric_spectrum(stack: np.ndarray, *, polish: bool = False) -> list[Spectrum]:
-    """Each symmetric matrix's ascending eigenvalues with a certified error
-    bound, for a stack (k, n, n), as a list of k Spectrum.
+    """Each symmetric matrix's ascending eigenvalues, for a stack (k, n, n),
+    as a list of k Spectrum.
 
-    The fast path solves the stack in one LAPACK call and uses an a-priori
-    backward-stability bound. With ``polish`` the residual matrix of each
-    matrix's computed eigenpairs is measured explicitly, which gives a much
-    tighter bound for verification. Raises NumericError when the solver
-    fails or, with ``polish``, any matrix misses the residual target.
+    The fast path solves the stack in one LAPACK call and bounds nothing: its
+    ``residual_bound`` is inf. With ``polish`` each matrix's computed
+    eigenpairs are checked by their measured residual, which gives the bound
+    that verification reads. Raises NumericError when the solver fails or,
+    with ``polish``, a matrix misses the residual target.
     """
     stack = np.asarray(stack, dtype=np.float64)
-    n = stack.shape[-1]
-    # Frobenius norms. The sum of squares of an integer matrix is exact in
-    # any order, so each equals np.linalg.norm(x, "fro") bit for bit.
-    flat = stack.reshape(len(stack), 1, n * n)
-    norms = np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel().tolist()
     try:
-        solved = [_polish(x) for x in stack] if polish else [
-            (v, 0.0) for v in np.linalg.eigvalsh(stack).tolist()]
+        if polish:
+            return [_polish(x) for x in stack]
+        return [Spectrum(tuple(v), math.inf) for v in np.linalg.eigvalsh(stack).tolist()]
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from None
-    out = []
-    for (vals, quality), norm in zip(solved, norms):
-        if polish:
-            if quality > _POLISH_RESIDUAL_TARGET * max(1.0, norm):
-                raise NumericError(f"eigenvalue residual {quality:.3e} above target")
-            # The bound adds the rounding incurred while evaluating the residual
-            # itself (~ n*eps*norm), which grows with n and is not the solver's fault.
-            bound = quality + 4.0 * n * _EPS * norm
-        else:
-            bound = 10.0 * n * _EPS * norm
-        out.append(Spectrum(tuple(vals), bound))
-    return out
 
 
-def _polish(x: np.ndarray) -> tuple[list[float], float]:
-    """x's ascending eigenvalues and the measured quality of their solve."""
+def _polish(x: np.ndarray) -> Spectrum:
+    """x's eigenvalues, bounded by the measured residual of its eigenpairs."""
+    n = len(x)
+    # The sum of squares of an integer matrix is exact in any order, so this
+    # equals np.linalg.norm(x, "fro") bit for bit.
+    norm = math.sqrt(np.vdot(x, x))
     vals, vecs = np.linalg.eigh(x)
     resid = x @ vecs - vecs * vals
-    gram = vecs.T @ vecs - np.eye(len(x))
+    gram = vecs.T @ vecs - np.eye(n)
     # Frobenius norms bound the 2-norms from above, and r / (1 - orth)
     # grows with both, so the bound stays valid without two SVDs.
     r, orth = math.sqrt(np.vdot(resid, resid)), math.sqrt(np.vdot(gram, gram))
     if orth >= 0.5:
         raise NumericError(f"eigenvector basis badly non-orthogonal ({orth:.3e})")
-    return vals.tolist(), r / (1.0 - orth)
+    quality = r / (1.0 - orth)
+    if quality > _POLISH_RESIDUAL_TARGET * max(1.0, norm):
+        raise NumericError(f"eigenvalue residual {quality:.3e} above target")
+    # The bound adds the rounding incurred while evaluating the residual
+    # itself (~ n*eps*norm), which grows with n and is not the solver's fault.
+    return Spectrum(tuple(vals.tolist()), quality + 4.0 * n * _EPS * norm)
 
 
 # -- exact characteristic polynomials ----------------------------------------
@@ -382,60 +380,17 @@ def independence_number(g: Graph) -> int:
 # -- domination number --------------------------------------------------------
 
 
-def _domination_branch_bound(g: Graph) -> int:
-    """Exact domination number by branching over dominators of an
-    uncovered vertex with the fewest choices."""
-    n = g.n
-    closed = [1 << v for v in range(n)]
-    for u, v in g.edges():
-        closed[u] |= 1 << v
-        closed[v] |= 1 << u
-    full = (1 << n) - 1
-    # Greedy cover gives the initial upper bound.
-    covered = 0
-    best = 0
-    while covered != full:
-        pick = max(range(n), key=lambda v: (closed[v] & ~covered).bit_count())
-        covered |= closed[pick]
-        best += 1
-    maxcov = max(c.bit_count() for c in closed)
-
-    def branch(covered: int, size: int) -> None:
-        nonlocal best
-        if covered == full:
-            if size < best:
-                best = size
-            return
-        uncovered = full & ~covered
-        if size + -(-uncovered.bit_count() // maxcov) >= best:
-            return
-        u = -1
-        ucount = n + 1
-        rest = uncovered
-        while rest:
-            w = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            c = closed[w].bit_count()
-            if c < ucount:
-                ucount = c
-                u = w
-        cand = closed[u]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            branch(covered | closed[v], size + 1)
-
-    branch(0, 0)
-    return best
-
-
 def domination_number(g: Graph) -> int:
-    """Minimum dominating set size: the greedy leaf rule on trees, branch
-    and bound otherwise.
+    """Minimum dominating set size: the greedy leaf rule on trees, the least
+    k whose k closed neighbourhoods cover V otherwise.
 
     The leaf rule walks a tree leaves first, and each vertex it finds still
     undominated puts its parent (the root, itself) into the set; this is
     exact (Cockayne, Goodman & Hedetniemi, Inf. Process. Lett. 4, 1975).
+    Off trees a greedy cover bounds the answer from above and the volume
+    bound ceil(n / max |N[v]|) from below (Haynes, Hedetniemi & Slater,
+    *Fundamentals of Domination in Graphs*, 1998); every k between them is
+    tried over all k-subsets, so this is exponential.
     """
     if g.is_tree():
         order, parent = bfs_tree(g)
@@ -449,4 +404,13 @@ def domination_number(g: Graph) -> int:
                     dominated[v] = True
         return size
     _check_size_guard("domination_number", g.n)
-    return _domination_branch_bound(g)
+    closed = [sum(1 << u for u in nbrs) | 1 << v for v, nbrs in enumerate(g._adj)]
+    full = (1 << g.n) - 1
+    covered = greedy = 0
+    while covered != full:
+        covered |= max(closed, key=lambda c: (c & ~covered).bit_count())
+        greedy += 1
+    for k in range(-(-g.n // max(c.bit_count() for c in closed)), greedy):
+        if any(reduce(or_, sets) == full for sets in combinations(closed, k)):
+            return k
+    return greedy

@@ -70,7 +70,7 @@ def test_adjacency_spectrum_frozen_values():
 
 def test_spectrum_error_bounds():
     fast = _spectrum(adjacency_matrix(path(30)))
-    assert 0 < fast.residual_bound <= 1e-10 * 30
+    assert fast.residual_bound == math.inf
     polished = _spectrum(adjacency_matrix(path(30)), polish=True)
     assert polished.residual_bound <= 1e-12
     assert polished.values == pytest.approx(fast.values, abs=1e-9)
@@ -243,7 +243,7 @@ def test_degree_indices_match_per_edge_sums():
 
 def _reference_spectrum(m, polish):
     """symmetric_spectrum's values and bound, written with np.linalg.norm and
-    one float() per eigenvalue."""
+    one float() per eigenvalue; unpolished values carry no bound."""
     a = np.asarray(m, dtype=np.float64)
     n = a.shape[0]
     eps = float(np.finfo(np.float64).eps)
@@ -255,7 +255,7 @@ def _reference_spectrum(m, polish):
         bound = r / (1.0 - orth) + 4.0 * n * eps * norm
     else:
         vals = np.linalg.eigvalsh(a)
-        bound = 10.0 * n * eps * norm
+        bound = math.inf
     return tuple(float(x) for x in vals), bound
 
 
@@ -367,6 +367,34 @@ def test_exact_invariants_match_exhaustive_enumeration():
         assert matching_number(g) == oracles.matching_number_exhaustive(g)
         assert independence_number(g) == oracles.independence_number_exhaustive(g)
         assert domination_number(g) == oracles.domination_number_exhaustive(g)
+
+
+def _greedy_cover_size(g: Graph) -> int:
+    """Closed neighbourhoods taken greedily, most new vertices first, until
+    they cover V."""
+    uncovered, size = set(range(g.n)), 0
+    while uncovered:
+        uncovered -= max(({v, *g.neighbors(v)} for v in range(g.n)),
+                         key=lambda c: len(c & uncovered))
+        size += 1
+    return size
+
+
+def test_non_tree_domination_matches_exhaustive_at_benchmark_sizes():
+    # Connected non-trees of 8-10 vertices at the certify corpus's negative
+    # densities, whose domination numbers the benchmark's oracle gate checks.
+    # Where the greedy cover is larger than gamma, the least-k search must
+    # find gamma below it.
+    rng = random.Random(32)
+    beaten = 0
+    for i in range(300):
+        g = random_connected_graph(rng.randrange(8, 11), rng, (0.35, 0.5)[i % 2])
+        if g.is_tree():
+            continue
+        gamma = domination_number(g)
+        assert gamma == oracles.domination_number_exhaustive(g)
+        beaten += _greedy_cover_size(g) > gamma
+    assert beaten >= 5
 
 
 def test_tree_domination_greedy_rule_matches_exhaustive():
