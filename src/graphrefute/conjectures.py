@@ -25,8 +25,8 @@ from .graphs import (Graph, SearchSpace, adjacency_matrix, all_pairs_distances, 
 
 NEG_INF = float("-inf")
 
-# A borderline score the exact arithmetic declines (c2, c8, non-trees, c10 on
-# two radicands) is escalated to 60 digits only up to this order.
+# A borderline score the exact arithmetic declines (c2, c8 off paths, non-trees,
+# c10 on two radicands) is escalated to 60 digits only up to this order.
 MP_MAX_ORDER = 64
 _MP_DPS = 60
 
@@ -603,7 +603,13 @@ def _exact_sign(conjecture_id: int, g: Graph) -> int | None:
 
     One pass of the formula decides a rational score. A formula reading the
     k-th largest eigenvalue lam_k of a tree gives a + b*lam_k instead, zero at
-    t = -a/b, and an inertia count places lam_k against t."""
+    t = -a/b, and an inertia count places lam_k against t.
+
+    c8 scores exactly 0 on every path: a(P_n) = 2(1 - cos(pi/n)) (Fiedler,
+    Czech. Math. J. 23, 1973), and pi(P_n) is (n+1)/4 for odd n and
+    n^2/(4(n-1)) for even n, so a * pi equals B(n)."""
+    if conjecture_id == 8 and g.is_tree() and max(map(len, g._adj)) <= 2:
+        return 0
     try:
         sc = _SCORERS[conjecture_id](g, ar := _Exact())
     except _NotExact:
@@ -622,10 +628,10 @@ def verify_strict(conjecture_id: int, g: Graph) -> Verdict:
     """Final arbiter for counterexample candidates.
 
     Hypotheses are re-checked, then the score formula is evaluated once in
-    exact arithmetic (`_exact_sign`). That decides every rational score, c1,
-    c4, c7 and c9 on trees at any order, and c10 on one radicand. What it
-    declines (c2, c8, spectra of non-trees, c10 on two radicands) is
-    recomputed with tight residual bounds; a band that still straddles zero
+    exact arithmetic (`_exact_sign`). That decides every rational score, c1, c4,
+    c7 and c9 on trees at any order, c8 on paths, and c10 on one radicand. What
+    it declines (c2, c8 off paths, spectra of non-trees, c10 on two radicands)
+    is recomputed with tight residual bounds; a band that still straddles zero
     is re-evaluated at 60 digits, or is Uncertain above MP_MAX_ORDER.
     """
     if check_hypotheses(conjecture_id, g):

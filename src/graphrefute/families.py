@@ -35,12 +35,22 @@ class FamilyError(ValueError):
     """Unknown family, unknown quantity, or out-of-domain parameter."""
 
 
+def _tree(n: int, edges: list[tuple[int, int]]) -> Graph:
+    """Wrap a builder's n - 1 distinct edges, which join vertices 0..n-1
+    into a tree, as sorted rows: no validation and no connectivity walk."""
+    rows = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    return Graph._trusted(tuple(tuple(sorted(r)) for r in rows), n - 1, True)
+
+
 def _build_t1(k: int) -> Graph:
     edges = [(i, i + 1) for i in range(k - 1)]
     for i in range(k):
         u = k + 4 * i
         edges += [(i, u), (u, u + 1), (i, u + 2), (u + 2, u + 3)]
-    return Graph(5 * k, edges)
+    return _tree(5 * k, edges)
 
 
 def _build_t2(k: int) -> Graph:
@@ -48,7 +58,7 @@ def _build_t2(k: int) -> Graph:
     for i in range(k):
         u = k + 3 * i
         edges += [(i, u), (u, u + 1), (i, u + 2)]
-    return Graph(4 * k, edges)
+    return _tree(4 * k, edges)
 
 
 def _build_t2b(b: int) -> Graph:
@@ -56,7 +66,7 @@ def _build_t2b(b: int) -> Graph:
     edges = [(0, 1), (0, 2)]
     edges += [(1, 3 + j) for j in range(b - 1)]
     edges += [(2, b + 2 + j) for j in range(b - 1)]
-    return Graph(2 * b + 1, edges)
+    return _tree(2 * b + 1, edges)
 
 
 @dataclass(frozen=True)

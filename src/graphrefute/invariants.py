@@ -4,12 +4,13 @@ Spectral quantities come from LAPACK via numpy. A polished spectrum carries
 a measured residual bound, which certified sign decisions read; a fast one
 carries none (inf), because the search compares values only. Everything
 that can be exact stays exact: characteristic polynomials use big integers
-(Berkowitz, division-free, over Python ints in numpy object arrays),
-degree-based indices and proximity use ``fractions.Fraction``, and the
-NP-hard invariants (matching, independence, domination) are solved by exact
-combinatorial algorithms rather than heuristics; on trees, domination takes
-the linear greedy leaf rule. The walks these build on, ``bfs_tree`` from
-vertex 0 and all-pairs distances, live in ``graphs``.
+(Berkowitz, division-free, over Python ints in numpy object arrays; a tree's
+adjacency coefficients are its matching counts, from one pass), degree-based
+indices and proximity use ``fractions.Fraction``, and the NP-hard invariants
+(matching, independence, domination) are solved by exact combinatorial
+algorithms rather than heuristics; on trees, independence and domination
+take linear leaf rules. The walks these build on, ``bfs_tree`` from vertex 0
+and all-pairs distances, live in ``graphs``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from operator import or_
 
 import numpy as np
 
-from .graphs import Graph, GraphError, adjacency_matrix, all_pairs_distances, bfs_tree
+from .graphs import Graph, GraphError, all_pairs_distances, bfs_tree
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -160,16 +161,37 @@ def peak_stats(t: Graph) -> tuple[int, int, int]:
     ``p_d``: index maximizing the normalized distance coefficients
     2^i * |d_i| over i = 0..n-2, compared as exact integers.
     Ties break to the smallest index.
+
+    A forest's det(xI - A) is the sum of (-1)^k m_k x^(n-2k), m_k its k-edge
+    matchings (Godsil & Gutman, J. Graph Theory 5, 1981): the adjacency list is
+    the matching counts, highest k first. Berkowitz runs on distances only.
     """
     if not t.is_tree():
         raise GraphError("peak statistics are defined for trees only")
     n = t.n
     if n < 2:
         raise GraphError("peak statistics require order >= 2")
-    vals = [abs(c) for c in char_poly_exact(adjacency_matrix(t)) if c != 0]
+    vals = _matching_counts(t)[::-1]
     cpd = char_poly_exact(all_pairs_distances(t))
     scaled = [abs(cpd[i]) << i for i in range(n - 1)]
     return vals.index(max(vals)), len(vals) - 1, scaled.index(max(scaled))
+
+
+def _matching_counts(t: Graph) -> list[int]:
+    """m_0..m_mu, the k-edge matching counts of tree t, by one pass leaves
+    first. Each vertex holds two count polynomials over its subtree, matched
+    to no child and to one, as big ints in base 2^n: no count exceeds the
+    2^(n-1) edge subsets, so no digit carries."""
+    order, parent = bfs_tree(t)
+    free, taken = [1] * t.n, [0] * t.n
+    for v in reversed(order[1:]):
+        p, whole = parent[v], free[v] + taken[v]
+        free[p], taken[p] = free[p] * whole, taken[p] * whole + (free[p] * free[v] << t.n)
+    total, counts = free[0] + taken[0], []
+    while total:
+        counts.append(total & ((1 << t.n) - 1))
+        total >>= t.n
+    return counts
 
 
 # -- metric invariants --------------------------------------------------------
@@ -189,10 +211,13 @@ def proximity(dist: np.ndarray) -> Fraction:
 def randic(g: Graph, num, fsum):
     """Randic index, (deg(u) * deg(v))**-1/2 summed over edges, in the
     arithmetic of ``num``, which converts an int, and ``fsum``: a score's
-    floats, 60-digit or exact numbers."""
+    floats, 60-digit or exact numbers. Each distinct product's root is taken
+    once, at its first edge, and the terms are summed in edge order."""
     adj = g._adj
     deg = list(map(len, adj))
-    return fsum(num(deg[u] * deg[v]) ** -0.5 for u, nbrs in enumerate(adj) for v in nbrs if v > u)
+    roots = {}
+    return fsum(roots[p] if (p := deg[u] * deg[v]) in roots else roots.setdefault(p, num(p) ** -0.5)
+                for u, nbrs in enumerate(adj) for v in nbrs if v > u)
 
 
 def modified_second_zagreb(g: Graph) -> Fraction:
@@ -308,16 +333,25 @@ def matching_number(g: Graph) -> int:
 
 
 def independence_number(g: Graph) -> int:
-    """Maximum independent set size, by branch and bound on bitmasks.
+    """Maximum independent set size: the leaf rule on trees, branch and
+    bound on bitmasks otherwise.
 
-    Vertices of degree <= 1 in the residual graph are taken greedily (always
-    safe), so trees and tree-like graphs never branch. Branching picks a
-    maximum-degree vertex v and tries each member of N[v]; every maximum
-    independent set contains at least one of them. The size guard warns only
-    off trees.
+    The leaf rule walks a tree leaves first; a vertex joins the set when
+    none of its children did, and then blocks its parent. Off trees,
+    vertices of degree <= 1 in the residual graph are taken greedily (always
+    safe), and branching picks a maximum-degree vertex v and tries each
+    member of N[v]; every maximum independent set contains at least one of
+    them. The size guard warns only off trees.
     """
-    if not g.is_tree():
-        _check_size_guard("independence_number", g.n)
+    if g.is_tree():
+        order, parent = bfs_tree(g)
+        blocked, size = [False] * g.n, 0
+        for u in reversed(order):
+            if not blocked[u]:
+                size += 1
+                blocked[parent[u]] = True
+        return size
+    _check_size_guard("independence_number", g.n)
     n = g.n
     nbr = [0] * n
     for u, v in g.edges():

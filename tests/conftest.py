@@ -11,8 +11,9 @@ import random
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from graphrefute.conjectures import _FAST
-from graphrefute.graphs import Graph, complete, connect_at, path, random_tree, star
-from graphrefute.invariants import adjacency_matrix, symmetric_spectrum
+from graphrefute.graphs import (Graph, adjacency_matrix, complete, connect_at, path, random_tree,
+                                star)
+from graphrefute.invariants import symmetric_spectrum
 
 
 def pytest_configure(config):

@@ -31,13 +31,13 @@ from graphrefute.families import build_family
 from graphrefute.graphs import (
     Graph,
     SearchSpace,
+    adjacency_matrix,
     children,
     construct,
     random_tree,
     star,
 )
 from graphrefute.invariants import (
-    adjacency_matrix,
     char_poly_exact,
     domination_number,
     independence_number,

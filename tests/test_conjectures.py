@@ -33,10 +33,12 @@ from graphrefute.conjectures import (
     verify_strict,
 )
 from graphrefute.families import build_family
-from graphrefute.invariants import NumericError
+from graphrefute.invariants import NumericError, laplacian_matrix, proximity
 from graphrefute.graphs import (
     Graph,
     SearchSpace,
+    adjacency_matrix,
+    all_pairs_distances,
     children,
     complete,
     cycle,
@@ -175,7 +177,7 @@ def test_verify_strict_verdicts():
         (7, clique_with_tail(5, 7), Verdict.CERTIFIED),
         (7, complete(6), Verdict.REJECTED),
         (8, decode_graph6("LGOC__?H?HP??A"), Verdict.CERTIFIED),
-        (8, path(9), Verdict.REJECTED),
+        (8, star(9), Verdict.REJECTED),
         (9, build_family("T2B", 9), Verdict.CERTIFIED),
         (9, build_family("T2B", 8), Verdict.REJECTED),
         (10, build_family("T2B", 5), Verdict.CERTIFIED),
@@ -242,6 +244,33 @@ def test_tree_verdicts_need_no_float_eigensolve(monkeypatch):
     for b in (1, 8, 9, 10, 64, 124):  # s9(T(2,b)) > 0 exactly when b >= 9
         expected_c9 = Verdict.CERTIFIED if b >= 9 else Verdict.REJECTED
         assert verify_strict(9, build_family("T2B", b)) is expected_c9, b
+
+
+def test_c8_decides_paths_exactly(monkeypatch):
+    # a(P_n) = 2(1 - cos(pi/n)) and pi(P_n) put a * pi on B(n), so c8 scores
+    # exactly 0 on every path. The exact pass rejects each one, as the
+    # 60-digit stage does, and needs no float eigensolve at any order.
+    zero_band = mp.mpf(10) ** -45
+    for n in range(3, 65):
+        g = path(n)
+        lap = laplacian_matrix(adjacency_matrix(g)).astype(float)
+        assert np.linalg.eigvalsh(lap)[1] == pytest.approx(2 - 2 * math.cos(math.pi / n), abs=1e-12)
+        with mp.workdps(60):
+            prox = proximity(all_pairs_distances(g))
+            a_pi = 2 * (1 - mp.cos(mp.pi / n)) * prox.numerator / prox.denominator
+            assert abs(conjectures._cosine_bound(n, conjectures._DIGITS60) - a_pi) < zero_band
+            if n <= 24 or n == 64:  # the 60-digit stage's own verdict
+                refined = conjectures._SCORERS[8](g, conjectures._DIGITS60.over([g])).value
+                assert abs(refined) < zero_band, n
+        assert verify_strict(8, g) is Verdict.REJECTED, n
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("float eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for n in range(3, 250):
+        assert verify_strict(8, path(n)) is Verdict.REJECTED, n
 
 
 @pytest.mark.parametrize(("cid", "g", "solver"), [

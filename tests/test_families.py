@@ -21,7 +21,7 @@ from graphrefute.families import (
     get_family,
     verify_family,
 )
-from graphrefute.graphs import path
+from graphrefute.graphs import Graph, bfs_tree, path
 from graphrefute.invariants import domination_number, independence_number
 
 
@@ -89,6 +89,18 @@ def test_family_members_match_direct_computation():
     assert domination_number(build_family("T2", 4)) == 8
     assert independence_number(build_family("T2B", 6)) == 11
     assert lambda1(build_family("T2B", 8)) == pytest.approx(3.0, abs=1e-10)
+
+
+def test_family_members_are_the_trees_their_edges_build():
+    # The builders wrap their rows unchecked, as a tree. Every member the
+    # sweeps and the benchmark corpus use must equal the validated graph on
+    # its edges, and a fresh walk must find that graph connected.
+    for name, top in (("T1", 50), ("T2", 62), ("T2B", 124)):
+        for p in range(1, top + 1):
+            g = build_family(name, p)
+            h = Graph(g.n, g.edges())
+            assert g == h and g.m == h.m == h.n - 1, (name, p)
+            assert len(bfs_tree(h)[0]) == h.n and g.is_tree(), (name, p)
 
 
 def test_verify_family_clean_ranges():

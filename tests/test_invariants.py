@@ -11,17 +11,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import horner, lambda1, random_connected_graph
-from graphrefute import oracles
+from conftest import from_networkx, horner, lambda1, random_connected_graph
+from graphrefute import conjectures, invariants, oracles
 from graphrefute.families import build_family
 from graphrefute.graphs import (
-    Graph, all_pairs_distances, bfs_tree, complete, cycle, path, random_tree, star,
-    walk_distances,
+    Graph, adjacency_matrix, all_pairs_distances, bfs_tree, complete, cycle, path, random_tree,
+    star, walk_distances,
 )
 from graphrefute.invariants import (
     NumericError,
     PerformanceWarning,
-    adjacency_matrix,
     char_poly_exact,
     domination_number,
     harmonic,
@@ -219,6 +218,41 @@ def test_randic_general_matches_exact():
         with mp.workdps(60):
             digits60 = randic(g, mp.mpf, mp.fsum)
         assert randic(g, float, math.fsum) == pytest.approx(float(digits60), rel=1e-15)
+
+
+def _per_edge_randic(g, num, fsum):
+    """Randic as one root per edge, summed in edge order."""
+    deg = [len(g.neighbors(v)) for v in range(g.n)]
+    return fsum(num(deg[u] * deg[v]) ** -0.5 for u, v in g.edges())
+
+
+def test_randic_is_the_per_edge_sum_bit_for_bit(monkeypatch):
+    # Each distinct product's root is taken once, but the terms and their
+    # order are the per-edge ones: floats and 60 digits agree to the bit, and
+    # the exact sum agrees or declines after as many additions.
+    surd = conjectures._Surd
+    lifts = []
+    lift = surd._lift
+    monkeypatch.setattr(surd, "_lift", lambda self, x: lifts.append(x) or lift(self, x))
+
+    def exact(f, g):
+        lifts.clear()
+        try:
+            v = f(g, conjectures._Exact.num, sum)  # 0 on no edges
+            return v if v == 0 else (v.p, v.d, v.q, v.c, v.l), len(lifts)
+        except conjectures._NotExact:
+            return "declined", len(lifts)
+
+    for g in _index_test_graphs():
+        assert randic(g, float, math.fsum) == _per_edge_randic(g, float, math.fsum)
+        with mp.workdps(60):
+            assert randic(g, mp.mpf, mp.fsum) == _per_edge_randic(g, mp.mpf, mp.fsum)
+        assert exact(randic, g) == exact(_per_edge_randic, g)
+    powers = []
+    power = surd.__pow__
+    monkeypatch.setattr(surd, "__pow__", lambda self, e: powers.append(self.p) or power(self, e))
+    randic(star(128), conjectures._Exact.num, sum)
+    assert powers == [127]
 
 
 def _index_test_graphs():
@@ -447,6 +481,36 @@ def test_tree_domination_greedy_rule_matches_the_dynamic_program():
         assert gamma == _reference_tree_domination(t)
         assert t.n == 1 or 2 * gamma <= t.n
     assert all(domination_number(t) == 2 * k for k, t in t2.items())
+
+
+def test_tree_independence_leaf_rule_matches_koenig():
+    # A tree is bipartite, so alpha = n - mu (Koenig); T(2,b)'s alpha is 2b - 1.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(37)
+    trees = [random_tree(rng.randrange(1, 251), rng) for _ in range(2000)]
+    trees += [from_networkx(t) for n in range(2, 11) for t in nx.nonisomorphic_trees(n)]
+    for t in trees + [Graph(1)]:
+        assert independence_number(t) == t.n - matching_number(t), list(t.edges())
+    assert all(independence_number(build_family("T2B", b)) == 2 * b - 1 for b in range(2, 125))
+
+
+def test_tree_matching_counts_are_the_adjacency_coefficients():
+    # det(xI - A) of a forest is the sum of (-1)^k m_k x^(n-2k), so the counts
+    # give Berkowitz's coefficients, and peak_stats its p_a and m.
+    rng = random.Random(41)
+    for n in range(1, 41):
+        for _ in range(2):
+            t = random_tree(n, rng)
+            counts = invariants._matching_counts(t)
+            coeffs = [0] * (n + 1)
+            for k, m_k in enumerate(counts):
+                coeffs[n - 2 * k] = (-1) ** k * m_k
+            assert tuple(coeffs) == char_poly_exact(adjacency_matrix(t)), list(t.edges())
+            if n <= 10:
+                assert counts == oracles.count_matchings_by_size(t)[:len(counts)]
+            if n >= 2:
+                vals = [abs(c) for c in coeffs if c]
+                assert peak_stats(t)[:2] == (vals.index(max(vals)), len(vals) - 1)
 
 
 def test_matching_counts_oracle_small():
