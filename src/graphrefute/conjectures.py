@@ -5,8 +5,9 @@ function is arranged so that a score strictly greater than zero witnesses a
 violation; searches therefore maximize the score. Scores built purely from
 rational invariants are carried exactly; spectral scores carry an explicit
 error bound. `verify_strict` first evaluates the formula once in exact
-arithmetic; what that declines is decided by the polished float band, then
-at 60 digits up to MP_MAX_ORDER vertices, and is Uncertain above.
+arithmetic, which decides every tree verdict but c8's off paths and c10's on
+two radicands; what that declines is decided by the polished float band,
+then at 60 digits up to MP_MAX_ORDER vertices, and is Uncertain above.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .graphs import (Graph, SearchSpace, adjacency_matrix, all_pairs_distances, 
 
 NEG_INF = float("-inf")
 
-# A borderline score the exact arithmetic declines (c2, c8 off paths, non-trees,
-# c10 on two radicands) is escalated to 60 digits only up to this order.
+# A borderline score the exact arithmetic declines (non-trees, c8 off paths, c10
+# on two radicands) is escalated to 60 digits only up to this order.
 MP_MAX_ORDER = 64
 _MP_DPS = 60
 
@@ -313,7 +314,7 @@ def _score_1(g: Graph, ar: _Arithmetic) -> Score:
 
 
 def _score_2(g: Graph, ar: _Arithmetic) -> Score:
-    # The spectrum first: the exact arithmetic declines it before any build.
+    # The spectrum first: the exact arithmetic declines a non-tree's before any build.
     sp = ar.spectrum(g, all_pairs_distances)
     dist = ar.matrix(g, all_pairs_distances)
     diam = int(dist.max())
@@ -529,8 +530,11 @@ class _Surd:
 
     __radd__, __rmul__ = __add__, __mul__
 
+    def __neg__(self):
+        return _Surd(-self.p, self.d, -self.q, self.c, -self.l)
+
     def __sub__(self, x):
-        return self + self._lift(x) * -1
+        return self + -self._lift(x)
 
     def __pow__(self, e):
         # sqrt(x) = s sqrt(c), c squarefree, and c10's x ** -0.5 = sqrt(x)/x.
@@ -553,17 +557,20 @@ def _sign(p: int, q: int, c: int) -> int:
 class _Exact:
     """The exact arithmetic on one graph, in _Surd: `_Arithmetic`'s interface
     for a single evaluation, but for cosines, which only c8 reads, after its
-    Laplacian spectrum. A tree's adjacency spectrum reads as the unknown lam,
-    and ``read`` keeps the index read; other spectra raise _NotExact."""
+    Laplacian spectrum. A tree's adjacency or distance spectrum reads as the
+    unknown lam, ``of`` keeps its builder and ``read`` the index read; other
+    spectra, or a second one, raise _NotExact."""
 
     sqrt = staticmethod(lambda x: _Surd(x) ** 0.5)
     num = staticmethod(lambda x: _Surd(*x.as_integer_ratio()))
     matrix = staticmethod(lambda g, build: build(g))  # g alone, no stack
-    fsum, read = sum, None
+    fsum, read, of = sum, None, None
 
     def spectrum(self, g: Graph, build) -> inv.Spectrum:
-        if build is not adjacency_matrix or not g.is_tree():
+        if build not in (adjacency_matrix, all_pairs_distances) or self.of not in (None, build) \
+                or not g.is_tree():
             raise _NotExact("no exact spectrum")
+        self.of = build
         return inv.Spectrum(self, 0)
 
     def __getitem__(self, i: int) -> _Surd:
@@ -590,11 +597,62 @@ def _tree_inertia(g: Graph, t: _Surd) -> tuple[int, int]:
         elif v:
             # The parent's entry gains -1/diag[v] = -d(p - q sqrt c)/(p^2 - q^2 c).
             norm, (up, uq, ud) = p * p - q * q * c, diag[parent[v]]
-            up, uq, ud = up * norm - d * p * ud, uq * norm + d * q * ud, ud * norm
-            k = math.gcd(up, uq, ud) if ud > 0 else -math.gcd(up, uq, ud)
-            diag[parent[v]] = (up // k, uq // k, ud // k)
+            diag[parent[v]] = _lowest(up * norm - d * p * ud, uq * norm + d * q * ud, ud * norm)
     signs = [_sign(p, q, c) for p, q, _ in diag]
     return signs.count(1), signs.count(0)
+
+
+def _lowest(p: int, q: int, d: int) -> tuple[int, int, int]:
+    k = math.gcd(p, q, d) if d > 0 else -math.gcd(p, q, d)
+    return p // k, q // k, d // k
+
+
+def _distance_inertia(g: Graph, t: _Surd) -> tuple[int, int]:
+    """How many eigenvalues of tree g's distance matrix D lie above a rational t < 0
+    and at t. D has one positive eigenvalue (Graham & Pollak 1971), and one in (t, 0)
+    exactly when D^-1 - I/t = -L/2 - I/t + tau tau^T/(2(n-1)), tau_v = 2 - deg v
+    (Graham & Lovasz, Adv. Math. 29, 1978), has a negative one. That is the Schur
+    complement of the corner -2(n-1) in g bordered by an apex coupled to each v by
+    tau_v, so the counts are the bordered matrix's negative and zero ones (Haynsworth,
+    Linear Algebra Appl. 1, 1968). Twice that is eliminated leaves first, as in
+    `_tree_inertia`: a vertex's diagonal and apex coupling are ints (a, b, d) for a/d
+    and b/d, the apex's entry (c, 0, d) for c/d."""
+    order, parent = bfs_tree(g)
+    s, r = -t.p, t.d  # -2/t = 2r/s
+    ent = [(2 * r - s * len(nbrs), 2 * s * (2 - len(nbrs)), s) for nbrs in g._adj]
+    apex, zero_child, neg, zero = (-4 * (g.n - 1), 0, 1), [-1] * g.n, 0, 0
+    for v in reversed(order):
+        (a, b, d), u, z = ent[v], parent[v], zero_child[v]
+        if z >= 0:
+            # The (1, 1) block {z, v} cuts v's edge up and takes z's coupling off u's.
+            neg, (_, bz, dz) = neg + 1, ent[z]
+            if apex:
+                apex = _lowest(apex[0] * d * dz * dz - (2 * b * dz - a * bz) * bz * apex[2],
+                               0, apex[2] * d * dz * dz)
+                if v:
+                    pa, pb, pd = ent[u]
+                    ent[u] = _lowest(pa * dz, pb * dz - bz * pd, pd * dz)
+        elif a == 0 and v and zero_child[u] < 0:
+            zero_child[u] = v
+        elif a == 0:
+            # The root, or a second zero child less the first: coupled to the apex alone.
+            if v:
+                _, bz, dz = ent[zero_child[u]]
+                b = b * dz - bz * d
+            if apex and b:  # the (1, 1) block with the apex clears every coupling left
+                neg, apex = neg + 1, None
+            else:
+                zero += 1
+        else:
+            neg += a < 0
+            if apex and b:
+                apex = _lowest(apex[0] * d * a - b * b * apex[2], 0, apex[2] * d * a)
+            if v:
+                pa, pb, pd = ent[u]
+                ent[u] = _lowest(pa * a - d * pd, pb * a - b * pd, pd * a)
+    if apex:
+        neg, zero = neg + (apex[0] < 0), zero + (apex[0] == 0)
+    return neg, zero
 
 
 def _exact_sign(conjecture_id: int, g: Graph) -> int | None:
@@ -602,8 +660,9 @@ def _exact_sign(conjecture_id: int, g: Graph) -> int | None:
     verify_strict asks it first, before any float eigensolve.
 
     One pass of the formula decides a rational score. A formula reading the
-    k-th largest eigenvalue lam_k of a tree gives a + b*lam_k instead, zero at
-    t = -a/b, and an inertia count places lam_k against t.
+    k-th largest eigenvalue lam_k of a tree's adjacency (or, for c2, distance)
+    matrix gives a + b*lam_k instead, zero at t = -a/b, and that matrix's
+    inertia count (`_tree_inertia`, `_distance_inertia`) places lam_k against t.
 
     c8 scores exactly 0 on every path: a(P_n) = 2(1 - cos(pi/n)) (Fiedler,
     Czech. Math. J. 23, 1973), and pi(P_n) is (n+1)/4 for odd n and
@@ -619,7 +678,8 @@ def _exact_sign(conjecture_id: int, g: Graph) -> int | None:
         return (v > 0) - (v < 0)
     if not v.l:
         return _sign(v.p, v.q, v.c)
-    above, equal = _tree_inertia(g, _Surd(-v.p, v.l, -v.q, v.c))
+    inertia = _distance_inertia if ar.of is all_pairs_distances else _tree_inertia
+    above, equal = inertia(g, _Surd(-v.p, v.l, -v.q, v.c))
     k = g.n - range(g.n)[ar.read]
     return (1 if v.l > 0 else -1) * (1 if above >= k else 0 if above + equal >= k else -1)
 
@@ -628,9 +688,9 @@ def verify_strict(conjecture_id: int, g: Graph) -> Verdict:
     """Final arbiter for counterexample candidates.
 
     Hypotheses are re-checked, then the score formula is evaluated once in
-    exact arithmetic (`_exact_sign`). That decides every rational score, c1, c4,
-    c7 and c9 on trees at any order, c8 on paths, and c10 on one radicand. What
-    it declines (c2, c8 off paths, spectra of non-trees, c10 on two radicands)
+    exact arithmetic (`_exact_sign`). That decides every rational score, c1, c2,
+    c4, c7 and c9 on trees at any order, c8 on paths, and c10 on one radicand.
+    What it declines (c8 off paths, spectra of non-trees, c10 on two radicands)
     is recomputed with tight residual bounds; a band that still straddles zero
     is re-evaluated at 60 digits, or is Uncertain above MP_MAX_ORDER.
     """

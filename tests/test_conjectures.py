@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -33,7 +35,7 @@ from graphrefute.conjectures import (
     verify_strict,
 )
 from graphrefute.families import build_family
-from graphrefute.invariants import NumericError, laplacian_matrix, proximity
+from graphrefute.invariants import NumericError, char_poly_exact, laplacian_matrix, proximity
 from graphrefute.graphs import (
     Graph,
     SearchSpace,
@@ -170,8 +172,8 @@ def test_verify_strict_verdicts():
     [
         (1, decode_graph6("QKpCAA?_A?O?O?_?G?A??_?@???"), Verdict.CERTIFIED),
         (1, path(3), Verdict.REJECTED),
-        (2, path(13), Verdict.REJECTED),
-        (2, star_with_two_tails(191, 7, 5), Verdict.UNCERTAIN),  # over MP_MAX_ORDER
+        (2, cycle(13), Verdict.REJECTED),
+        (2, cycle(70), Verdict.UNCERTAIN),  # over MP_MAX_ORDER
         (4, two_star_centers_joined(15, 19), Verdict.CERTIFIED),
         (4, Graph(5), Verdict.REJECTED),
         (7, clique_with_tail(5, 7), Verdict.CERTIFIED),
@@ -188,14 +190,14 @@ def test_verify_strict_60_digit_path(monkeypatch, cid, g, verdict):
     # A huge float error band straddles zero. The c1, c4 and c9 rows on trees
     # and c10 on a star are decided by the exact pass before any float band;
     # every other verdict comes from the 60-digit re-evaluation (or from the
-    # order limit on it).
+    # order limit on it). c2 is exact on every tree, so its rows are cycles.
     monkeypatch.setattr(conjectures, "_slop", lambda *terms: 1e6)
     assert verify_strict(cid, g) is verdict
 
 
 def test_verify_strict_decides_trees_exactly(monkeypatch):
     # With the float band straddling zero everywhere, every tree verdict of
-    # c1, c4, c7 and c9 comes from the exact inertia count, and c10's from
+    # c1, c2, c4, c7 and c9 comes from an exact inertia count, and c10's from
     # its sum when it has one radicand, else from 60 digits. Each must equal
     # the verdict of the 60-digit re-evaluation against its 10^-45 band.
     nx = pytest.importorskip("networkx")
@@ -204,7 +206,7 @@ def test_verify_strict_decides_trees_exactly(monkeypatch):
     checked = 0
     for n in range(2, 10):
         for g in map(from_networkx, nx.nonisomorphic_trees(n)):
-            for cid in (1, 4, 7, 9, 10):
+            for cid in (1, 2, 4, 7, 9, 10):
                 if check_hypotheses(cid, g):
                     continue
                 with mp.workdps(60):
@@ -213,19 +215,20 @@ def test_verify_strict_decides_trees_exactly(monkeypatch):
                 assert verify_strict(cid, g) is expected, (cid, list(g.edges()))
                 assert cid == 10 or conjectures._exact_sign(cid, g) is not None
                 checked += 1
-    assert checked == 466
+    assert checked == 558
 
 
 def test_tree_verdicts_need_no_float_eigensolve(monkeypatch):
-    # c1, c4, c7 and c9 on a tree are decided by the exact pass alone: with
-    # both float eigensolvers refusing, every verdict still equals the
-    # 60-digit one, and stars and T(2,b) to 249 vertices get their known ones.
+    # c1, c2, c4, c7 and c9 on a tree are decided by the exact pass alone:
+    # with both float eigensolvers refusing, every verdict still equals the
+    # 60-digit one, stars and T(2,b) to 249 vertices get their known ones,
+    # and the 203-vertex c2 tree the certificate its polished band gave.
     nx = pytest.importorskip("networkx")
     trees = [from_networkx(t) for n in range(2, 10) for t in nx.nonisomorphic_trees(n)]
     zero_band = mp.mpf(10) ** -45
     expected = {}
     for g in trees:
-        for cid in (1, 4, 7, 9):
+        for cid in (1, 2, 4, 7, 9):
             if not check_hypotheses(cid, g):
                 with mp.workdps(60):
                     refined = conjectures._SCORERS[cid](g, conjectures._DIGITS60.over([g])).value
@@ -239,11 +242,12 @@ def test_tree_verdicts_need_no_float_eigensolve(monkeypatch):
     for (cid, g), verdict in expected.items():
         assert verify_strict(cid, g) is verdict, (cid, list(g.edges()))
     for n in (3, 8, 64, 65, 128, 249):
-        for cid in (1, 4, 7, 9):
+        for cid in (1, 2, 4, 7, 9):
             assert verify_strict(cid, star(n)) is Verdict.REJECTED, (cid, n)
     for b in (1, 8, 9, 10, 64, 124):  # s9(T(2,b)) > 0 exactly when b >= 9
         expected_c9 = Verdict.CERTIFIED if b >= 9 else Verdict.REJECTED
         assert verify_strict(9, build_family("T2B", b)) is expected_c9, b
+    assert verify_strict(2, star_with_two_tails(191, 7, 5)) is Verdict.CERTIFIED
 
 
 def test_c8_decides_paths_exactly(monkeypatch):
@@ -306,14 +310,15 @@ def test_boundary_trees_need_no_60_digit_solve(monkeypatch):
 
 
 def test_a_declined_exact_c2_pass_builds_no_distances(monkeypatch):
-    # The exact arithmetic declines c2's distance spectrum before the formula
-    # builds anything, so the polished pass builds the only distance matrix.
+    # The exact arithmetic declines a non-tree's distance spectrum before the
+    # formula builds anything, so the polished pass builds the only distance
+    # matrix.
     calls = []
-    build = conjectures.all_pairs_distances
-    monkeypatch.setattr(conjectures, "all_pairs_distances",
-                        lambda gs: calls.append(gs) or build(gs))
+    for name in ("all_pairs_distances", "walk_distances"):  # a non-tree stack takes the walk
+        build = getattr(conjectures, name)
+        monkeypatch.setattr(conjectures, name, lambda x, build=build: calls.append(x) or build(x))
     monkeypatch.setattr(conjectures, "_slop", lambda *terms: 1e6)
-    assert verify_strict(2, star_with_two_tails(191, 7, 5)) is Verdict.UNCERTAIN
+    assert verify_strict(2, cycle(70)) is Verdict.UNCERTAIN
     assert len(calls) == 1
 
 
@@ -329,6 +334,61 @@ def test_tree_inertia_counts_path_eigenvalues():
             above = sum(Fraction(k, n + 1) < a for k in range(1, n + 1))
             equal = int((a * (n + 1)).denominator == 1)
             assert conjectures._tree_inertia(path(n), t) == (above, equal), (n, a)
+
+
+def _lines_run(fn, call) -> set[int]:
+    """The lines of fn's source, counted from its def, that run during call()."""
+    code, first, hit = fn.__code__, fn.__code__.co_firstlineno, set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            hit.add(frame.f_lineno - first)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return hit
+
+
+def test_distance_inertia_counts_tree_distance_eigenvalues():
+    # Reference: q(y) = p(y + t), p the exact characteristic polynomial of D, is
+    # real-rooted, so Descartes' sign changes count its positive roots (the
+    # eigenvalues above t) exactly, and its lowest nonzero coefficient's index
+    # is the multiplicity of t.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(35)
+    cases = []
+    for n in range(2, 11):
+        for g in map(from_networkx, nx.nonisomorphic_trees(n)):
+            ts = [-proximity(all_pairs_distances(g)), Fraction(-2), Fraction(-1), Fraction(-1, 2)]
+            cases += [(g, t) for t in ts + [Fraction(-rng.randint(1, 40), rng.randint(1, 12))
+                                             for _ in range(6)]]
+    ties = 0
+    for g, t in cases:
+        q = [Fraction(c) for c in char_poly_exact(all_pairs_distances(g))]
+        for i in range(g.n):  # Taylor shift by t, one synthetic division per degree
+            for j in range(g.n - 1, i - 1, -1):
+                q[j] += t * q[j + 1]
+        signs = [c > 0 for c in q if c]
+        equal = next(i for i, c in enumerate(q) if c)
+        above = sum(a != b for a, b in zip(signs, signs[1:]))
+        got = conjectures._distance_inertia(g, conjectures._Surd(t.numerator, t.denominator))
+        assert got == (above, equal), (list(g.edges()), t)
+        ties += equal > 0
+    assert len(cases) == 2000 and ties > 100
+    # Both zero-pivot rules run: a zero child paired with its parent, and a
+    # zero vertex coupled to the apex alone paired with the apex.
+    source = inspect.getsource(conjectures._distance_inertia).splitlines()
+    rules = {i for i, line in enumerate(source)
+             if line.strip() in ("neg, (_, bz, dz) = neg + 1, ent[z]", "neg, apex = neg + 1, None")}
+    assert len(rules) == 2
+    assert rules <= _lines_run(conjectures._distance_inertia, lambda: [
+        conjectures._distance_inertia(g, conjectures._Surd(t.numerator, t.denominator))
+        for g, t in cases])
 
 
 def test_score_10_matches_direct_formula():
