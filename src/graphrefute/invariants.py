@@ -4,13 +4,16 @@ Spectral quantities come from LAPACK via numpy. A polished spectrum carries
 a measured residual bound, which certified sign decisions read; a fast one
 carries none (inf), because the search compares values only. Everything
 that can be exact stays exact: characteristic polynomials use big integers
-(Berkowitz, division-free, over Python ints in numpy object arrays; a tree's
-adjacency coefficients are its matching counts, from one pass), degree-based
-indices and proximity use ``fractions.Fraction``, and the NP-hard invariants
-(matching, independence, domination) are solved by exact combinatorial
-algorithms rather than heuristics; on trees, independence and domination
-take linear leaf rules. The walks these build on, ``bfs_tree`` from vertex 0
-and all-pairs distances, live in ``graphs``.
+(Berkowitz, division-free, over Python ints in numpy object arrays; no program
+path calls it, and it stays as the tests' reference and for a planned exact
+count off trees), degree-based indices and proximity use ``fractions.Fraction``, and the
+NP-hard invariants (matching, independence, domination) are solved by exact
+combinatorial algorithms rather than heuristics; on trees, independence and
+domination take linear leaf rules. A tree's characteristic polynomials take
+one leaves-first pass each: adjacency as matching counts, distance as
+det(xI - D) = -det [[xL + 2I, tau], [x tau^T, n - 1]] / 4, tau_v = 2 - deg v,
+from Graham & Pollak's det D (1971) and Graham & Lovasz's D^-1 (1978). The
+walk these build on, ``bfs_tree`` from vertex 0, lives in ``graphs``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from operator import or_
 
 import numpy as np
 
-from .graphs import Graph, GraphError, all_pairs_distances, bfs_tree
+from .graphs import Graph, GraphError, bfs_tree
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -164,7 +167,10 @@ def peak_stats(t: Graph) -> tuple[int, int, int]:
 
     A forest's det(xI - A) is the sum of (-1)^k m_k x^(n-2k), m_k its k-edge
     matchings (Godsil & Gutman, J. Graph Theory 5, 1981): the adjacency list is
-    the matching counts, highest k first. Berkowitz runs on distances only.
+    the matching counts, highest k first. det(xI - D) is -det [[xL + 2I, tau],
+    [x tau^T, n - 1]] / 4, tau_v = 2 - deg v, by det D (Graham & Pollak, Bell
+    Syst. Tech. J. 50, 1971) and D^-1 = -L/2 + tau tau^T / (2(n - 1)) (Graham &
+    Lovasz, Adv. Math. 29, 1978); one pass expands it, and no matrix is built.
     """
     if not t.is_tree():
         raise GraphError("peak statistics are defined for trees only")
@@ -172,7 +178,7 @@ def peak_stats(t: Graph) -> tuple[int, int, int]:
     if n < 2:
         raise GraphError("peak statistics require order >= 2")
     vals = _matching_counts(t)[::-1]
-    cpd = char_poly_exact(all_pairs_distances(t))
+    cpd = _distance_coefficients(t)
     scaled = [abs(cpd[i]) << i for i in range(n - 1)]
     return vals.index(max(vals)), len(vals) - 1, scaled.index(max(scaled))
 
@@ -192,6 +198,34 @@ def _matching_counts(t: Graph) -> list[int]:
         counts.append(total & ((1 << t.n) - 1))
         total >>= t.n
     return counts
+
+
+def _distance_coefficients(t: Graph) -> list[int]:
+    """det(xI - D) of tree t, lowest degree first, as -1/4 of the bordered
+    determinant (n - 1) det M - x tau^T adj(M) tau, M = xL + 2I (`peak_stats`).
+    Leaves first, each subtree's block merges into its parent's, whose vertex
+    holds det M over the block with and without itself (a, b) and tau-weighted
+    cofactor sums: of paths ending at it (p), of vertex pairs (s) and, less
+    itself, of pairs whose path misses it (r); the u, w cofactor of a tree is
+    x^d(u, w) det M off their path. Each polynomial is one int at x = 2^k: the
+    bordered rows' 1-norms are at most 2 + 3 deg v and, the apex's, 3(n - 1),
+    and sum deg = 2n - 2, so every coefficient is below 3n 8^n < 2^(k-1) and
+    balanced base-2^k digits return them exactly."""
+    n, (order, parent) = t.n, bfs_tree(t)
+    k = 3 * n + (3 * n).bit_length() + 1
+    half = 1 << k - 1
+    blocks = [((len(nbrs) << k) + 2, 1, 2 - len(nbrs), (2 - len(nbrs)) ** 2, 0) for nbrs in t._adj]
+    for c in reversed(order[1:]):
+        (ac, bc, pc, sc, rc), (a, b, p, s, r) = blocks[c], blocks[parent[c]]
+        blocks[parent[c]] = (a * ac - (b * bc << 2 * k), b * ac, p * ac + (b * pc << k),
+                             s * ac + a * sc - (r * bc + b * rc << 2 * k) + (p * pc << k + 1),
+                             r * ac + b * sc)
+    a, _, _, s, _ = blocks[0]
+    total, coeffs = (s << k) - (n - 1) * a >> 2, []
+    for _ in range(n + 1):
+        coeffs.append((total + half & (half << 1) - 1) - half)
+        total = total - coeffs[-1] >> k
+    return coeffs
 
 
 # -- metric invariants --------------------------------------------------------

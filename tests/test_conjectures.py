@@ -250,6 +250,17 @@ def test_tree_verdicts_need_no_float_eigensolve(monkeypatch):
     assert verify_strict(2, star_with_two_tails(191, 7, 5)) is Verdict.CERTIFIED
 
 
+def test_c3_certifies_the_203_vertex_tree_without_berkowitz(monkeypatch):
+    # peak_stats reads a tree's distance polynomial off one leaves-first pass,
+    # so no order is out of reach. Berkowitz on this tree's distance matrix
+    # takes about 36 s on a 2-core Xeon VM and gives the same coefficients.
+    def refuse(*args, **kwargs):
+        raise AssertionError("Berkowitz")
+
+    monkeypatch.setattr(conjectures.inv, "char_poly_exact", refuse)
+    assert verify_strict(3, star_with_two_tails(191, 7, 5)) is Verdict.CERTIFIED
+
+
 def test_c8_decides_paths_exactly(monkeypatch):
     # a(P_n) = 2(1 - cos(pi/n)) and pi(P_n) put a * pi on B(n), so c8 scores
     # exactly 0 on every path. The exact pass rejects each one, as the

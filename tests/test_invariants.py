@@ -513,6 +513,23 @@ def test_tree_matching_counts_are_the_adjacency_coefficients():
                 assert peak_stats(t)[:2] == (vals.index(max(vals)), len(vals) - 1)
 
 
+def test_tree_distance_coefficients_are_the_distance_char_poly():
+    # peak_stats expands det(xI - D) in one leaves-first pass; Berkowitz on the
+    # distance matrix is the reference, so p_d must follow from its coefficients.
+    # Paths carry the widest coefficients, about 1.9 bits per vertex against
+    # the pass's 3-bit-per-vertex digits.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(43)
+    trees = [from_networkx(t) for n in range(2, 13) for t in nx.nonisomorphic_trees(n)]
+    trees += [random_tree(n, rng) for n in range(2, 41) for _ in range(2)]
+    trees += [family(n) for n in [*range(2, 20), 30, 45, 60] for family in (path, star)]
+    for t in trees:
+        cpd = char_poly_exact(all_pairs_distances(t))
+        assert tuple(invariants._distance_coefficients(t)) == cpd, list(t.edges())
+        scaled = [abs(cpd[i]) << i for i in range(t.n - 1)]
+        assert peak_stats(t)[2] == scaled.index(max(scaled)), list(t.edges())
+
+
 def test_matching_counts_oracle_small():
     # P4 has matchings: 1 empty, 3 single edges, 1 pair of disjoint edges.
     assert oracles.count_matchings_by_size(path(4)) == [1, 3, 1]
