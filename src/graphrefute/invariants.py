@@ -6,11 +6,12 @@ carries none (inf), because the search compares values only. Everything
 that can be exact stays exact: characteristic polynomials use big integers
 (Berkowitz, division-free, over Python ints in numpy object arrays; no program
 path calls it, and it stays as the tests' reference and for a planned exact
-count off trees), degree-based indices and proximity use ``fractions.Fraction``, and the
-NP-hard invariants (matching, independence, domination) are solved by exact
-combinatorial algorithms rather than heuristics; on trees, independence and
-domination take linear leaf rules. A tree's characteristic polynomials take
-one leaves-first pass each: adjacency as matching counts, distance as
+count off trees), degree-based indices and proximity use ``fractions.Fraction``,
+matching takes Edmonds' polynomial blossom algorithm, and the NP-hard
+independence and domination numbers are solved exactly by exponential search
+rather than heuristics; on trees, both take linear leaf rules. A tree's
+characteristic polynomials take one leaves-first pass each: adjacency as
+matching counts, distance as
 det(xI - D) = -det [[xL + 2I, tau], [x tau^T, n - 1]] / 4, tau_v = 2 - deg v,
 from Graham & Pollak's det D (1971) and Graham & Lovasz's D^-1 (1978). The
 walk these build on, ``bfs_tree`` from vertex 0, lives in ``graphs``.
@@ -279,8 +280,7 @@ def harmonic(g: Graph) -> Fraction:
 
 def matching_number(g: Graph) -> int:
     """Size of a maximum matching, via Edmonds' blossom algorithm."""
-    n = g.n
-    adj = [list(g.neighbors(v)) for v in range(n)]
+    n, adj = g.n, g._adj
     match = [-1] * n
     # Greedy seed matching; augmenting paths fix whatever it misses.
     for v in range(n):
@@ -367,15 +367,17 @@ def matching_number(g: Graph) -> int:
 
 
 def independence_number(g: Graph) -> int:
-    """Maximum independent set size: the leaf rule on trees, branch and
-    bound on bitmasks otherwise.
+    """Maximum independent set size: the leaf rule on trees, a two-way
+    branch on bitmasks otherwise.
 
     The leaf rule walks a tree leaves first; a vertex joins the set when
-    none of its children did, and then blocks its parent. Off trees,
-    vertices of degree <= 1 in the residual graph are taken greedily (always
-    safe), and branching picks a maximum-degree vertex v and tries each
-    member of N[v]; every maximum independent set contains at least one of
-    them. The size guard warns only off trees.
+    none of its children did, and then blocks its parent. Off trees, while
+    the residual graph has a vertex of degree <= 1, that vertex is taken and
+    its closed neighbourhood dropped, since some maximum set holds it. Then
+    the larger of two branches on a maximum-degree vertex v is returned: v
+    left out, or v taken and N[v] dropped (the starting point of Fomin,
+    Grandoni & Kratsch, J. ACM 56, 2009). Each branch drops a vertex, so the
+    recursion is at most n deep. The size guard warns only off trees.
     """
     if g.is_tree():
         order, parent = bfs_tree(g)
@@ -386,63 +388,27 @@ def independence_number(g: Graph) -> int:
                 blocked[parent[u]] = True
         return size
     _check_size_guard("independence_number", g.n)
-    n = g.n
-    nbr = [0] * n
-    for u, v in g.edges():
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    closed = [nbr[v] | (1 << v) for v in range(n)]
-    best = 0
+    closed = [sum(map((1).__lshift__, nbrs), 1 << v) for v, nbrs in enumerate(g._adj)]
 
-    def reduce_and_branch(avail: int, size: int) -> None:
-        nonlocal best
-        # Take isolated and pendant vertices until none remain.
-        changed = True
-        while changed and avail:
-            changed = False
-            rest = avail
+    def solve(avail: int) -> int:
+        size = 0
+        while avail:
+            top, rest = -1, avail
             while rest:
                 v = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
-                live = nbr[v] & avail
-                if live == 0:
-                    avail &= ~(1 << v)
-                    size += 1
-                    changed = True
-                elif live & (live - 1) == 0:
-                    avail &= ~closed[v]
-                    size += 1
-                    changed = True
+                degree = (closed[v] & avail).bit_count() - 1
+                if degree <= 1:
                     break
-        if avail == 0:
-            if size > best:
-                best = size
-            return
-        if size + avail.bit_count() <= best:
-            return
-        rest = avail
-        v = -1
-        vdeg = -1
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            d = (nbr[u] & avail).bit_count()
-            if d > vdeg:
-                vdeg = d
-                v = u
-        # Some maximum set meets N[v]; try each candidate, skipping sets
-        # already covered by an earlier branch.
-        tried = 0
-        cand = closed[v] & avail
-        while cand:
-            u = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            reduce_and_branch(avail & ~closed[u] & ~tried, size + 1)
-            tried |= 1 << u
-        return
+                if degree > top:
+                    top, branch = degree, v
+            else:  # no vertex of degree <= 1 is left
+                return size + max(solve(avail & ~(1 << branch)), 1 + solve(avail & ~closed[branch]))
+            avail &= ~closed[v]
+            size += 1
+        return size
 
-    reduce_and_branch((1 << n) - 1, 0)
-    return best
+    return solve((1 << g.n) - 1)
 
 
 # -- domination number --------------------------------------------------------
@@ -472,7 +438,7 @@ def domination_number(g: Graph) -> int:
                     dominated[v] = True
         return size
     _check_size_guard("domination_number", g.n)
-    closed = [sum(1 << u for u in nbrs) | 1 << v for v, nbrs in enumerate(g._adj)]
+    closed = [sum(map((1).__lshift__, nbrs), 1 << v) for v, nbrs in enumerate(g._adj)]
     full = (1 << g.n) - 1
     covered = greedy = 0
     while covered != full:

@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import from_networkx, horner, lambda1, random_connected_graph
+from conftest import from_networkx, horner, lambda1, random_connected_graph, to_networkx
 from graphrefute import conjectures, invariants, oracles
 from graphrefute.families import build_family
 from graphrefute.graphs import (
@@ -483,8 +483,26 @@ def test_tree_domination_greedy_rule_matches_the_dynamic_program():
     assert all(domination_number(t) == 2 * k for k, t in t2.items())
 
 
-def test_tree_independence_leaf_rule_matches_koenig():
-    # A tree is bipartite, so alpha = n - mu (Koenig); T(2,b)'s alpha is 2b - 1.
+def _random_bipartite(n: int, rng: random.Random, chords: int) -> Graph:
+    """A random tree plus up to ``chords`` chords between its two colour
+    classes: connected and bipartite by construction."""
+    t = random_tree(n, rng)
+    order, parent = bfs_tree(t)
+    side = [0] * n
+    for v in order[1:]:
+        side[v] = 1 - side[parent[v]]
+    edges = set(t.edges())
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if side[u] != side[v] and (u, v) not in edges]
+    return Graph(n, sorted(edges.union(rng.sample(pairs, min(chords, len(pairs))))))
+
+
+@pytest.mark.filterwarnings("ignore::graphrefute.invariants.PerformanceWarning")
+def test_independence_matches_koenig_on_bipartite_graphs():
+    # A bipartite graph's alpha is n - mu (Koenig), and Edmonds' blossom
+    # algorithm finds mu independently of either independence rule. Trees take
+    # the leaf rule, and T(2,b)'s alpha is 2b - 1; the other graphs take the
+    # two-way branch, some above the size guard.
     nx = pytest.importorskip("networkx")
     rng = random.Random(37)
     trees = [random_tree(rng.randrange(1, 251), rng) for _ in range(2000)]
@@ -492,6 +510,30 @@ def test_tree_independence_leaf_rule_matches_koenig():
     for t in trees + [Graph(1)]:
         assert independence_number(t) == t.n - matching_number(t), list(t.edges())
     assert all(independence_number(build_family("T2B", b)) == 2 * b - 1 for b in range(2, 125))
+    others = [_random_bipartite(n, rng, k) for n in range(10, 81, 5) for k in (1, n // 2, n, 2 * n)]
+    others += [from_networkx(nx.grid_2d_graph(8, 10)), from_networkx(nx.hypercube_graph(6))]
+    others += [cycle(n) for n in range(4, 81, 2)]
+    for g in others:
+        assert not g.is_tree()
+        assert independence_number(g) == g.n - matching_number(g), list(g.edges())
+
+
+def test_independence_number_matches_a_clique_reference():
+    # alpha(G) is the clique number of G's complement, which networkx finds by
+    # its own branch and bound. Random graphs at the orders and densities the
+    # workloads reach (up to 40 vertices, p up to 0.5), disconnected ones
+    # included.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(53)
+    disconnected = 0
+    for n in range(8, 41, 4):
+        for p in (0.1, 0.2, 0.35, 0.5):
+            for _ in range(4):
+                g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+                disconnected += not g.is_connected()
+                clique, _ = nx.max_weight_clique(nx.complement(to_networkx(g)), weight=None)
+                assert independence_number(g) == len(clique), list(g.edges())
+    assert disconnected > 0
 
 
 def test_tree_matching_counts_are_the_adjacency_coefficients():
