@@ -1,17 +1,15 @@
-"""Reference implementations for cross-checking the fast invariants.
+"""Exhaustive references for the exact solvers.
 
-These are deliberately naive: independent correctness anchors for the fast
-solvers in :mod:`graphrefute.invariants`. Keep them simple enough to audit
-by eye. The exhaustive ones are only meant for graphs of roughly a dozen
-vertices; the floating-point ones recompute exact indices in floats.
+Matching, independence and domination numbers by plain enumeration: naive,
+independent correctness anchors that the benchmark's oracle gate and the
+tests compare the solvers in :mod:`graphrefute.invariants` against. Keep
+them simple enough to audit by eye; they are only meant for graphs of
+roughly a dozen vertices.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-
-from .graphs import Graph, GraphError
+from .graphs import Graph
 
 
 def independence_number_exhaustive(g: Graph) -> int:
@@ -78,53 +76,3 @@ def matching_number_exhaustive(g: Graph) -> int:
 
     extend(0, 0, 0)
     return best
-
-
-def count_matchings_by_size(g: Graph) -> list[int]:
-    """Return [m_0, m_1, ...] where m_k is the number of k-edge matchings.
-
-    For a forest the adjacency characteristic polynomial has coefficients
-    (-1)^k * m_k at exponent n - 2k, which makes this a useful cross-check.
-    """
-    edges = list(g.edges())
-    counts = [0] * (g.n // 2 + 1)
-
-    def extend(start: int, used: int, size: int) -> None:
-        counts[size] += 1
-        for j in range(start, len(edges)):
-            u, v = edges[j]
-            bits = (1 << u) | (1 << v)
-            if not used & bits:
-                extend(j + 1, used | bits, size + 1)
-
-    extend(0, 0, 0)
-    return counts
-
-
-def distances_bfs(g: Graph) -> list[list[int]]:
-    """All-pairs distances by one plain BFS per source; -1 marks unreachable."""
-    rows = []
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        rows.append(dist)
-    return rows
-
-
-def proximity_float(g: Graph) -> float:
-    """Floating-point proximity, for cross-checking the exact value."""
-    if g.n < 2:
-        raise GraphError("proximity requires at least 2 vertices")
-    return min(sum(row) for row in distances_bfs(g)) / (g.n - 1)
-
-
-def harmonic_float(g: Graph) -> float:
-    """Floating-point harmonic index, for cross-checking the exact value."""
-    return math.fsum(2.0 / (len(g.neighbors(u)) + len(g.neighbors(v))) for u, v in g.edges())

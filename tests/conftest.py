@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import deque
 
 # LAPACK rounds differently under more than one BLAS thread, and the pinned
 # trace digests hold spectral floats, so pin one thread unless the caller
@@ -76,6 +77,44 @@ def alone(scorer, g: Graph):
     """scorer's evaluation of a validated copy of g, scored as a chunk of one."""
     h = rebuilt(g)
     return scorer(h, _FAST.over([h]))
+
+
+def count_matchings_by_size(g: Graph) -> list[int]:
+    """Return [m_0, m_1, ...] where m_k is the number of k-edge matchings.
+
+    For a forest the adjacency characteristic polynomial has coefficients
+    (-1)^k * m_k at exponent n - 2k, which makes this a useful cross-check.
+    """
+    edges = list(g.edges())
+    counts = [0] * (g.n // 2 + 1)
+
+    def extend(start: int, used: int, size: int) -> None:
+        counts[size] += 1
+        for j in range(start, len(edges)):
+            u, v = edges[j]
+            bits = (1 << u) | (1 << v)
+            if not used & bits:
+                extend(j + 1, used | bits, size + 1)
+
+    extend(0, 0, 0)
+    return counts
+
+
+def distances_bfs(g: Graph) -> list[list[int]]:
+    """All-pairs distances by one plain BFS per source; -1 marks unreachable."""
+    rows = []
+    for s in range(g.n):
+        dist = [-1] * g.n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in g.neighbors(u):
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        rows.append(dist)
+    return rows
 
 
 def isomorphism(g: Graph, h: Graph) -> list[int] | None:

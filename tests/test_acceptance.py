@@ -16,6 +16,7 @@ import pytest
 
 from conftest import (
     clique_with_tail,
+    count_matchings_by_size,
     from_networkx,
     horner,
     lambda1,
@@ -168,7 +169,7 @@ def test_criterion_4_oracle_equivalence():
         if t.n > 9:
             continue
         cpa = char_poly_exact(adjacency_matrix(t))
-        counts = oracles.count_matchings_by_size(t)
+        counts = count_matchings_by_size(t)
         covered = set()
         for k, m_k in enumerate(counts):
             exponent = t.n - 2 * k

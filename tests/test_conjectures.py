@@ -320,6 +320,23 @@ def test_boundary_trees_need_no_60_digit_solve(monkeypatch):
     assert verify_strict(9, build_family("T2B", 8)) is Verdict.REJECTED
 
 
+def test_complete_graphs_tie_c7_at_60_digits(monkeypatch):
+    # No band is widened: K_n has lambda_1 = n - 1 and proximity 1, so c7
+    # scores exactly 0. The exact pass declines a non-tree's spectrum and the
+    # polished band straddles zero, so one 60-digit solve rejects each K_n;
+    # above the order limit the verdict is uncertain, with no solve.
+    calls = []
+    eigsy = mp.eigsy
+    monkeypatch.setattr(mp, "eigsy", lambda *a, **k: calls.append(a) or eigsy(*a, **k))
+    for n in range(3, 13):
+        calls.clear()
+        assert verify_strict(7, complete(n)) is Verdict.REJECTED, n
+        assert len(calls) == 1, n
+    calls.clear()
+    assert verify_strict(7, complete(conjectures.MP_MAX_ORDER + 1)) is Verdict.UNCERTAIN
+    assert calls == []
+
+
 def test_a_declined_exact_c2_pass_builds_no_distances(monkeypatch):
     # The exact arithmetic declines a non-tree's distance spectrum before the
     # formula builds anything, so the polished pass builds the only distance

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_networkx, random_connected_graph, rebuilt, to_networkx
-from graphrefute import oracles
+from conftest import distances_bfs, from_networkx, random_connected_graph, rebuilt, to_networkx
 from graphrefute.codec import decode_graph6, encode_graph6
 from graphrefute.graphs import (
     Graph,
@@ -417,7 +416,7 @@ def test_all_pairs_distances_matches_bfs_on_small_graphs():
     ]
     assert len(connected) > 900  # every connected graph on <= 7 vertices
     for g in connected:
-        assert all_pairs_distances(g).tolist() == oracles.distances_bfs(g)
+        assert all_pairs_distances(g).tolist() == distances_bfs(g)
 
 
 def test_all_pairs_distances_matches_bfs_on_random_graphs():
@@ -426,7 +425,7 @@ def test_all_pairs_distances_matches_bfs_on_random_graphs():
     for i in range(500):
         n = rng.randint(1, 250)
         g = random_connected_graph(n, rng, chord_prob=0.0 if i % 2 == 0 else 0.05)
-        assert all_pairs_distances(g).tolist() == oracles.distances_bfs(g)
+        assert all_pairs_distances(g).tolist() == distances_bfs(g)
 
 
 def _shuffled(g: Graph, rng: random.Random) -> Graph:

@@ -3,10 +3,8 @@ and so does every method of a class there. Every name a module in src/
 imports is read in that module, so each name has one import path: its
 defining module, not a re-export from another.
 
-A helper that only tests call belongs in the tests or in ``oracles.py``
-(the test-side reference implementations), not in the program. Here the
-program is every module in src/ but ``oracles.py``, plus every file under
-bench/.
+A helper that only tests call belongs in the tests, not in the program.
+Here the program is every module in src/ plus every file under bench/.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import graphrefute
 
 PACKAGE = Path(graphrefute.__file__).resolve().parent
 BENCH = PACKAGE.parent.parent / "bench"
-EXEMPT_FILES = {"oracles.py"}
 # Names kept without a caller, each with its reason. nmcs is the plain NMCS
 # baseline that AMCS is to be measured against (ROADMAP item 6); the
 # benchmark will call it.
@@ -78,9 +75,8 @@ def _unread_imports(tree: ast.Module) -> list[str]:
 
 
 def _src() -> dict[str, ast.Module]:
-    """The program's modules in src/ by file name, EXEMPT_FILES left out."""
-    return {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
-            if p.name not in EXEMPT_FILES}
+    """The program's modules in src/ by file name."""
+    return {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def _bench() -> list[ast.Module]:
@@ -125,9 +121,9 @@ def test_every_method_is_used_in_src():
 
 
 def test_every_import_in_src_is_read():
-    # oracles.py included: an import nothing reads is a second path to a name.
-    unread = [f"{p.name}:{name}" for p in sorted(PACKAGE.glob("*.py"))
-              for name in _unread_imports(ast.parse(p.read_text()))]
+    # An import nothing reads is a second path to a name.
+    unread = [f"{file}:{name}" for file, tree in _src().items()
+              for name in _unread_imports(tree)]
     assert unread == [], f"names imported in src/ but never read there: {unread}"
 
 
