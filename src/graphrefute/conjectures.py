@@ -237,12 +237,13 @@ class _Arithmetic:
     """The numbers a score formula is evaluated in, over a chunk of graphs
     of one order.
 
-    ``matrix(g, build)`` is chunk member g's float matrix from a builder such
-    as `all_pairs_distances`, ``spectrum(g, build)`` its ascending
-    eigenvalues, and ``num`` turns an int or Fraction into a number of this
-    arithmetic. Each formula is written once against these: in floats, at 60
-    digits or exactly (`_Exact`). ``over(chunk)`` makes the copy that serves a
-    chunk: one stack and solve per builder, a failed solve failing every member.
+    ``spectrum(g, build)`` is chunk member g's ascending eigenvalues of the
+    matrix from a builder such as `all_pairs_distances`, ``distances(g)`` its
+    diameter and proximity, and ``num`` turns an int or Fraction into a
+    number of this arithmetic. Each formula is written once against these:
+    in floats, at 60 digits or exactly (`_Exact`). ``over(chunk)`` makes the
+    copy that serves a chunk: one stack and solve per builder, a failed solve
+    failing every member, and one reduction of the distance stack.
     """
 
     def __init__(self, solve, sqrt, cos, pi, fsum, num, chunk=()):
@@ -253,8 +254,12 @@ class _Arithmetic:
     def over(self, chunk: list[Graph]) -> _Arithmetic:
         return _Arithmetic(self.solve, self.sqrt, self.cos, self.pi, self.fsum, self.num, chunk)
 
-    def matrix(self, g: Graph, build):
-        return self._stack(build)[self._at[id(g)]]
+    def distances(self, g: Graph) -> tuple[int, Fraction]:
+        if "distances" not in self._done:
+            stack = self._stack(all_pairs_distances)
+            self._done["distances"] = list(zip(map(int, stack.max(axis=(1, 2)).tolist()),
+                                               inv.proximity(stack)))
+        return self._done["distances"][self._at[id(g)]]
 
     def spectrum(self, g: Graph, build) -> inv.Spectrum:
         if ("spectrum", build) not in self._done:
@@ -316,15 +321,14 @@ def _score_1(g: Graph, ar: _Arithmetic) -> Score:
 def _score_2(g: Graph, ar: _Arithmetic) -> Score:
     # The spectrum first: the exact arithmetic declines a non-tree's before any build.
     sp = ar.spectrum(g, all_pairs_distances)
-    dist = ar.matrix(g, all_pairs_distances)
-    diam = int(dist.max())
+    diam, prox = ar.distances(g)
     k = (2 * diam) // 3
     if k < 1:
         return _undefined("floor(2*diameter/3) < 1")
-    prox = inv.proximity(dist)
+    p = ar.num(prox)
     partial = sp.values[-k]
-    value = -ar.num(prox) - partial
-    err = sp.residual_bound + _slop(ar.num(prox), partial)
+    value = -p - partial
+    err = sp.residual_bound + _slop(p, partial)
     return Score(value, None, err, {
         "n": g.n, "proximity": prox, "diameter": diam, "k": k,
         "distance_eigenvalue_k": partial,
@@ -373,9 +377,9 @@ def _score_6(g: Graph, ar: _Arithmetic) -> Score:
 def _score_7(g: Graph, ar: _Arithmetic) -> Score:
     sp = ar.spectrum(g, adjacency_matrix)
     lam = sp.values[-1]
-    prox = inv.proximity(ar.matrix(g, all_pairs_distances))
-    value = lam * ar.num(prox) - g.n + 1
-    err = sp.residual_bound * ar.num(prox) + _slop(lam * ar.num(prox), g.n)
+    p = ar.num(prox := ar.distances(g)[1])
+    value = lam * p - g.n + 1
+    err = sp.residual_bound * p + _slop(lam * p, g.n)
     return Score(value, None, err, {
         "n": g.n, "lambda_1": lam, "proximity": prox,
     })
@@ -391,10 +395,10 @@ def _cosine_bound(n: int, ar: _Arithmetic):
 def _score_8(g: Graph, ar: _Arithmetic) -> Score:
     sp = ar.spectrum(g, inv.laplacian_matrix)
     a = sp.values[1]
-    prox = inv.proximity(ar.matrix(g, all_pairs_distances))
+    p = ar.num(prox := ar.distances(g)[1])
     bound = _cosine_bound(g.n, ar)
-    value = bound - a * ar.num(prox)
-    err = sp.residual_bound * ar.num(prox) + _slop(bound, a * ar.num(prox))
+    value = bound - a * p
+    err = sp.residual_bound * p + _slop(bound, a * p)
     return Score(value, None, err, {
         "n": g.n, "cosine_bound": bound, "algebraic_connectivity": a,
         "proximity": prox,
@@ -444,8 +448,9 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
     fresh evaluation. polish=True never reads or writes the memo.
 
     A child that graphs.children put in the class of an earlier, isomorphic
-    sibling reads that sibling's memo when its own is empty. A spectral
-    value so shared may differ from its own labelling's in the last bits.
+    sibling reads that sibling's memo when its own is empty; a value-only
+    expansion lists that sibling itself instead. A spectral value so shared
+    may differ from its own labelling's in the last bits.
 
     The first call on any graph of a brood (an expansion's class
     representatives, or the playouts of a level-1 expansion's children)
@@ -563,7 +568,7 @@ class _Exact:
 
     sqrt = staticmethod(lambda x: _Surd(x) ** 0.5)
     num = staticmethod(lambda x: _Surd(*x.as_integer_ratio()))
-    matrix = staticmethod(lambda g, build: build(g))  # g alone, no stack
+    distances = staticmethod(lambda g: (int((d := all_pairs_distances(g)).max()), inv.proximity(d)))
     fsum, read, of = sum, None, None
 
     def spectrum(self, g: Graph, build) -> inv.Spectrum:

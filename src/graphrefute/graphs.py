@@ -37,8 +37,9 @@ class Graph:
     # _connected memoises is_connected: None until known, then True or False.
     # _sibling is None, or the first child of the class of moves that
     # `children` put this graph in, which is isomorphic to it: `score` may
-    # share its memo. _brood lists the graphs `score` evaluates at once: all
-    # first children (`children`) or all playouts (`playouts`) of an expansion.
+    # share its memo. A value-only expansion builds no such child. _brood
+    # lists the graphs `score` evaluates at once: all first children
+    # (`children`) or all playouts (`playouts`) of an expansion.
     # Equality, hashing and the guard ignore all four.
     __slots__ = ("n", "m", "_adj", "_score", "_connected", "_sibling", "_brood")
 
@@ -233,7 +234,7 @@ def legal_moves(g: Graph, space: SearchSpace) -> list[tuple[int, int]]:
     return pairs
 
 
-def children(g: Graph, space: SearchSpace) -> list[Graph]:
+def children(g: Graph, space: SearchSpace, values_only: bool = False) -> list[Graph]:
     """The child of each of `legal_moves`, in its order: `_grow` patches its
     pair into a copy of g's adjacency, with no validation.
 
@@ -241,14 +242,19 @@ def children(g: Graph, space: SearchSpace) -> list[Graph]:
     first of its class refers to that first sibling in ``_sibling``. In tree
     space the classes are the children's isomorphism classes
     (`_tree_classes`); otherwise they come from twin vertices
-    (`_twin_classes`). Each first child holds the list of all first children
-    in ``_brood``, so that `conjectures.score` evaluates them in one batch.
-    A level-1 search reads the list twice: for `playouts`, then for its loop.
+    (`_twin_classes`). For a caller that reads only values, ``values_only``
+    builds only the first child of each class and lists it for every move of
+    the class. Each first child holds the list of all first children in
+    ``_brood``, so that `conjectures.score` evaluates them in one batch. A
+    level-1 search reads the list twice: for `playouts`, then for its loop.
     """
     pairs = legal_moves(g, space)
     classes = (_tree_classes if space is SearchSpace.TREES else _twin_classes)(g, pairs)
     adj, m, out, first = g._adj, g.m + 1, [], {}
     for (u, v), cls in zip(pairs, classes):
+        if values_only and cls in first:
+            out.append(first[cls])
+            continue
         grown = list(adj)
         _grow(grown, u, v)
         out.append(child := Graph._trusted(tuple(grown), m, True))
@@ -436,6 +442,8 @@ def tree_key(g: Graph, ids: dict) -> tuple[tuple[int, ...], list[int], list[int]
     the centres, from which `_orbits` derives vertex orbits.
     """
     n, adj = g.n, g._adj
+    if g.m != n - 1:
+        raise GraphError("tree_key requires a tree")
     intern = ids.setdefault
     leaf = intern((), len(ids))
     if n <= 2:

@@ -232,12 +232,17 @@ def _distance_coefficients(t: Graph) -> list[int]:
 # -- metric invariants --------------------------------------------------------
 
 
-def proximity(dist: np.ndarray) -> Fraction:
+def proximity(dist: np.ndarray) -> Fraction | list[Fraction]:
     """Minimum average distance from a vertex to all others, exact, read off
-    a distance matrix: its least row sum over n - 1."""
-    if len(dist) < 2:
+    a distance matrix: its least row sum over n - 1. A (k, n, n) stack gives
+    the list of its k members' proximities, from one reduction."""
+    n = dist.shape[-1]
+    if n < 2:
         raise GraphError("proximity requires at least 2 vertices")
-    return Fraction(int(dist.sum(axis=1).min()), len(dist) - 1)
+    least = dist.sum(axis=-1).min(axis=-1)
+    if least.ndim:
+        return [Fraction(int(s), n - 1) for s in least.tolist()]
+    return Fraction(int(least), n - 1)
 
 
 # -- degree-based indices -----------------------------------------------------

@@ -87,7 +87,8 @@ def _nmcs(
     if level == 0:
         return _level0(g, g_score, random_playout(g, depth, space, rng), score_fn)
     best, best_score = g, g_score
-    kids = children(g, space)
+    # A depth-0 level-1 expansion reads only its children's values.
+    kids = children(g, space, level == 1 and not depth)
     # Level 1 draws every playout up front, in loop order: nothing else here uses rng.
     outs = playouts(kids, depth, space, rng) if level == 1 else kids
     for child, out in zip(kids, outs):

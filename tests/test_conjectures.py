@@ -16,6 +16,7 @@ import pytest
 from conftest import (
     alone,
     clique_with_tail,
+    distances_bfs,
     from_networkx,
     random_connected_graph,
     rebuilt,
@@ -292,10 +293,12 @@ def test_c8_decides_paths_exactly(monkeypatch):
     (1, build_family("T2B", 9), "matching_number"),
     (9, build_family("T2B", 9), "independence_number"),
     (7, path(12), "all_pairs_distances"),
+    (2, star_with_two_tails(191, 7, 5), "all_pairs_distances"),
 ])
 def test_verify_strict_runs_each_exact_solver_once(monkeypatch, cid, g, solver):
     # The exact pass carries the eigenvalue as an unknown, so it evaluates the
-    # formula once; a tree's verdict needs no float pass after it.
+    # formula once; a tree's verdict needs no float pass after it. c2 reads
+    # the diameter and the proximity off its one distance matrix.
     owner = conjectures if solver == "all_pairs_distances" else conjectures.inv
     calls = []
     run = getattr(owner, solver)
@@ -348,6 +351,22 @@ def test_a_declined_exact_c2_pass_builds_no_distances(monkeypatch):
     monkeypatch.setattr(conjectures, "_slop", lambda *terms: 1e6)
     assert verify_strict(2, cycle(70)) is Verdict.UNCERTAIN
     assert len(calls) == 1
+
+
+def test_a_chunk_reads_diameters_and_proximities_off_its_distance_stack():
+    # Mixed chunks of trees and non-trees take the walk, all-tree chunks the
+    # ancestor matmul; each member's values must be its own BFS distances'.
+    rng = random.Random(39)
+    for n in (*range(3, 70, 3), 70):
+        trees = [random_tree(n, rng), path(n), star(n)]
+        others = [random_connected_graph(n, rng), random_connected_graph(n, rng, 0.5)]
+        for chunk in (trees + others, trees, others, trees[:1], others[:1]):
+            ar = conjectures._FAST.over(chunk)
+            for g in chunk:
+                d = np.array(distances_bfs(g))
+                diam, prox = ar.distances(g)
+                assert type(diam) is int and diam == d.max()
+                assert prox == Fraction(int(d.sum(axis=1).min()), n - 1)
 
 
 def test_tree_inertia_counts_path_eigenvalues():

@@ -481,6 +481,12 @@ def test_tree_key_rejects_a_graph_with_a_cycle():
         assert bad.m == bad.n - 1 and not bad.is_tree()
         with pytest.raises(GraphError, match="tree"):
             tree_key(bad, {})
+    # Forests with fewer edges: K2 + P4 peels down to P4's centres, and
+    # K2 + K1 and two isolated vertices never peel at all.
+    for bad in (Graph(6, [(0, 1), (2, 3), (3, 4), (4, 5)]), Graph(3, [(0, 1)]), Graph(2)):
+        assert not bad.is_tree()
+        with pytest.raises(GraphError, match="tree"):
+            tree_key(bad, {})
 
 
 def _siblings(g: Graph, space: SearchSpace) -> list[tuple[Graph, Graph | None]]:
@@ -493,6 +499,28 @@ def _siblings(g: Graph, space: SearchSpace) -> list[tuple[Graph, Graph | None]]:
         # referring to none.
         assert rep is None or (any(k is rep for k in kids[:i]) and rep._sibling is None)
     return [(child, child._sibling) for child in kids]
+
+
+def test_value_only_children_reuse_each_class_representative():
+    # Called the value-only way, every entry after the first of its class is
+    # that first child itself, and the first children are the labelled
+    # call's representatives, in order, with one brood.
+    rng = random.Random(39)
+    for n in range(3, 31):
+        for space, g in ((SearchSpace.TREES, random_tree(n, rng)),
+                         (SearchSpace.CONNECTED, random_connected_graph(n, rng))):
+            labelled = children(g, space)
+            reps = [c for c in labelled if c._sibling is None]
+            quick = children(g, space, values_only=True)
+            assert len(quick) == len(labelled)
+            at = {id(c): i for i, c in enumerate(labelled)}
+            for child, entry in zip(labelled, quick):
+                if child._sibling is not None:
+                    assert entry is quick[at[id(child._sibling)]]
+            firsts = list({id(c): c for c in quick}.values())
+            assert firsts == reps and all(c._sibling is None for c in firsts)
+            assert all(c._brood is firsts[0]._brood for c in firsts)
+            assert firsts[0]._brood == reps
 
 
 def test_children_share_a_class_only_with_isomorphic_siblings_in_connected_space():

@@ -221,15 +221,27 @@ def test_amcs_trace_is_unchanged_by_the_score_memo(monkeypatch, cid, initial, pa
     # class; the other scores a fresh copy each time. The two runs must make
     # the same calls and leave the same trace, and every value the search
     # sees must equal a fresh evaluation of the graph scored or of a
-    # sibling proven isomorphic to it.
+    # sibling proven isomorphic to it. A depth-0 level-1 expansion builds no
+    # sibling: its later entries of a class reuse the representative itself,
+    # and every call on one reads that representative's memo.
     evaluations = []
     scorer = conjectures._SCORERS[cid]
     monkeypatch.setitem(conjectures._SCORERS, cid,
                         lambda g, ar: evaluations.append(g) or scorer(g, ar))
+    reused = []
+    expand = search.children
+
+    def counting(g, space, values_only=False):
+        kids = expand(g, space, values_only)
+        reused.append(len(kids) - len(set(map(id, kids))))
+        return kids
+
+    monkeypatch.setattr(search, "children", counting)
 
     def run(copy: bool):
         seen = []
         evaluations.clear()
+        reused.clear()
 
         def score_fn(g: Graph) -> float:
             value = score(cid, rebuilt(g) if copy else g).value
@@ -263,7 +275,7 @@ def test_amcs_trace_is_unchanged_by_the_score_memo(monkeypatch, cid, initial, pa
             g = g._sibling
             shared += 1
         assert value == alone(scorer, g).value
-    assert 0 < shared and memo_evals < fresh_evals == len(seen)
+    assert 0 < shared + sum(reused) and memo_evals < fresh_evals == len(seen)
 
 
 @pytest.mark.parametrize(
@@ -291,10 +303,10 @@ def test_amcs_trace_digest_is_pinned(monkeypatch, cid, start, params, deep, dige
     monkeypatch.setattr(graphs, "tree_key", lambda g, ids: keys.append(g) or key(g, ids))
     expansions = []
 
-    def recording(g, space):
+    def recording(g, space, values_only=False):
         # A list, as `children` returns: an expansion reads it twice, once
         # for its playouts and once for its children.
-        expansions.append(graphs.children(g, space))
+        expansions.append(graphs.children(g, space, values_only))
         return expansions[-1]
 
     monkeypatch.setattr(search, "children", recording)
