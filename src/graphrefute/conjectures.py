@@ -447,10 +447,9 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
     Graphs are immutable and evaluation is deterministic, so a hit equals a
     fresh evaluation. polish=True never reads or writes the memo.
 
-    A child that graphs.children put in the class of an earlier, isomorphic
-    sibling reads that sibling's memo when its own is empty; a value-only
-    expansion lists that sibling itself instead. A spectral value so shared
-    may differ from its own labelling's in the last bits.
+    A search asks for a child's value by its class representative
+    (graphs.children). A labelled child scored itself gets its own value,
+    whose spectrum may differ from the representative's in the last bits.
 
     The first call on any graph of a brood (an expansion's class
     representatives, or the playouts of a level-1 expansion's children)
@@ -461,9 +460,8 @@ def score(conjecture_id: int, g: Graph, *, polish: bool = False) -> Score:
     shares, gets no memo there: it is scored alone at its own call, and g at
     once, unless g was alone in its chunk, whose failure is then g's own.
     """
-    memo = g._score or g._sibling and g._sibling._score
-    if not polish and memo and memo[0] == conjecture_id:
-        return memo[1]
+    if not polish and g._score and g._score[0] == conjecture_id:
+        return g._score[1]
     spec_violations = check_hypotheses(conjecture_id, g)
     if spec_violations:
         raise HypothesisError(
@@ -568,7 +566,8 @@ class _Exact:
 
     sqrt = staticmethod(lambda x: _Surd(x) ** 0.5)
     num = staticmethod(lambda x: _Surd(*x.as_integer_ratio()))
-    distances = staticmethod(lambda g: (int((d := all_pairs_distances(g)).max()), inv.proximity(d)))
+    distances = staticmethod(lambda g: (int((d := all_pairs_distances(g)).max()),
+                                        inv.proximity(d[None])[0]))
     fsum, read, of = sum, None, None
 
     def spectrum(self, g: Graph, build) -> inv.Spectrum:
@@ -705,8 +704,6 @@ def verify_strict(conjecture_id: int, g: Graph) -> Verdict:
     if sign is not None:
         return Verdict.CERTIFIED if sign > 0 else Verdict.REJECTED
     sc = _SCORERS[conjecture_id](g, _POLISHED.over([g]))
-    if sc.value == NEG_INF:
-        return Verdict.REJECTED
     err = sc.spectral_error_bound
     if sc.value - err > 0:
         return Verdict.CERTIFIED

@@ -35,13 +35,10 @@ class Graph:
 
     # _score memoises conjectures.score's fast path: (conjecture id, Score).
     # _connected memoises is_connected: None until known, then True or False.
-    # _sibling is None, or the first child of the class of moves that
-    # `children` put this graph in, which is isomorphic to it: `score` may
-    # share its memo. A value-only expansion builds no such child. _brood
-    # lists the graphs `score` evaluates at once: all first children
-    # (`children`) or all playouts (`playouts`) of an expansion.
-    # Equality, hashing and the guard ignore all four.
-    __slots__ = ("n", "m", "_adj", "_score", "_connected", "_sibling", "_brood")
+    # _brood lists the graphs `score` evaluates at once: all class
+    # representatives (`children`) or all playouts (`playouts`) of an
+    # expansion. Equality, hashing and the guard ignore all three.
+    __slots__ = ("n", "m", "_adj", "_score", "_connected", "_brood")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -59,7 +56,7 @@ class Graph:
             adj[v].add(u)
             m += 1
         adj = tuple(tuple(sorted(s)) for s in adj)
-        for slot, value in zip(_SLOTS, (n, m, adj, None, None, None, None)):
+        for slot, value in zip(_SLOTS, (n, m, adj, None, None, None)):
             slot.__set__(self, value)
 
     @classmethod
@@ -72,7 +69,6 @@ class Graph:
         _ADJ.__set__(g, adj)
         _SCORE.__set__(g, None)
         _CONNECTED.__set__(g, connected)
-        _SIBLING.__set__(g, None)
         _BROOD.__set__(g, None)
         return g
 
@@ -118,7 +114,7 @@ class Graph:
 
 # Graph's slot descriptors, which set a slot past the immutability guard.
 _SLOTS = [Graph.__dict__[name] for name in Graph.__slots__]
-_N, _M, _ADJ, _SCORE, _CONNECTED, _SIBLING, _BROOD = _SLOTS
+_N, _M, _ADJ, _SCORE, _CONNECTED, _BROOD = _SLOTS
 
 
 def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
@@ -234,36 +230,35 @@ def legal_moves(g: Graph, space: SearchSpace) -> list[tuple[int, int]]:
     return pairs
 
 
-def children(g: Graph, space: SearchSpace, values_only: bool = False) -> list[Graph]:
-    """The child of each of `legal_moves`, in its order: `_grow` patches its
-    pair into a copy of g's adjacency, with no validation.
+def children(g: Graph, space: SearchSpace, values_only: bool = False) -> tuple[list[Graph], list[int]]:
+    """The child of each of `legal_moves`, in its order, and each move's
+    representative: the index of the first move of its class. `_grow`
+    patches each pair into a copy of g's adjacency, with no validation.
 
-    Moves of one class give isomorphic children, and each child after the
-    first of its class refers to that first sibling in ``_sibling``. In tree
-    space the classes are the children's isomorphism classes
+    Moves of one class give isomorphic children, which share one value. In
+    tree space the classes are the children's isomorphism classes
     (`_tree_classes`); otherwise they come from twin vertices
     (`_twin_classes`). For a caller that reads only values, ``values_only``
-    builds only the first child of each class and lists it for every move of
-    the class. Each first child holds the list of all first children in
-    ``_brood``, so that `conjectures.score` evaluates them in one batch. A
-    level-1 search reads the list twice: for `playouts`, then for its loop.
+    builds only the representatives and lists each at every move of its
+    class. Each representative holds the list of them all in ``_brood``, so
+    that `conjectures.score` evaluates them in one batch. A level-1 search
+    reads the list twice: for `playouts`, then for its loop.
     """
     pairs = legal_moves(g, space)
     classes = (_tree_classes if space is SearchSpace.TREES else _twin_classes)(g, pairs)
-    adj, m, out, first = g._adj, g.m + 1, [], {}
-    for (u, v), cls in zip(pairs, classes):
-        if values_only and cls in first:
-            out.append(first[cls])
+    adj, m, kids, reps, first = g._adj, g.m + 1, [], [], {}
+    for i, ((u, v), cls) in enumerate(zip(pairs, classes)):
+        reps.append(rep := first.setdefault(cls, i))
+        if values_only and rep != i:
+            kids.append(kids[rep])
             continue
         grown = list(adj)
         _grow(grown, u, v)
-        out.append(child := Graph._trusted(tuple(grown), m, True))
-        if (rep := first.setdefault(cls, child)) is not child:
-            _SIBLING.__set__(child, rep)
-    brood = list(first.values())
-    for rep in brood:
-        _BROOD.__set__(rep, brood)
-    return out
+        kids.append(Graph._trusted(tuple(grown), m, True))
+    brood = [kids[i] for i in first.values()]
+    for kid in brood:
+        _BROOD.__set__(kid, brood)
+    return kids, reps
 
 
 def _tree_classes(g: Graph, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:

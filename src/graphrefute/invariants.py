@@ -232,17 +232,14 @@ def _distance_coefficients(t: Graph) -> list[int]:
 # -- metric invariants --------------------------------------------------------
 
 
-def proximity(dist: np.ndarray) -> Fraction | list[Fraction]:
-    """Minimum average distance from a vertex to all others, exact, read off
-    a distance matrix: its least row sum over n - 1. A (k, n, n) stack gives
-    the list of its k members' proximities, from one reduction."""
-    n = dist.shape[-1]
+def proximity(stack: np.ndarray) -> list[Fraction]:
+    """Each distance matrix's minimum average distance from a vertex to all
+    others, exact, for a stack (k, n, n), as a list of k Fractions: its
+    least row sum over n - 1, from one reduction of the stack."""
+    n = stack.shape[-1]
     if n < 2:
         raise GraphError("proximity requires at least 2 vertices")
-    least = dist.sum(axis=-1).min(axis=-1)
-    if least.ndim:
-        return [Fraction(int(s), n - 1) for s in least.tolist()]
-    return Fraction(int(least), n - 1)
+    return [Fraction(int(s), n - 1) for s in stack.sum(axis=-1).min(axis=-1).tolist()]
 
 
 # -- degree-based indices -----------------------------------------------------

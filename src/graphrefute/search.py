@@ -88,13 +88,14 @@ def _nmcs(
         return _level0(g, g_score, random_playout(g, depth, space, rng), score_fn)
     best, best_score = g, g_score
     # A depth-0 level-1 expansion reads only its children's values.
-    kids = children(g, space, level == 1 and not depth)
+    kids, reps = children(g, space, level == 1 and not depth)
     # Level 1 draws every playout up front, in loop order: nothing else here uses rng.
     outs = playouts(kids, depth, space, rng) if level == 1 else kids
-    for child, out in zip(kids, outs):
+    for child, rep, out in zip(kids, reps, outs):
         if deadline is not None and time.perf_counter() > deadline:
             break
-        child_score = score_fn(child)
+        # An isomorphic child's value is its class representative's.
+        child_score = score_fn(kids[rep])
         if level == 1:
             result, result_score = _level0(child, child_score, out, score_fn)
         else:

@@ -202,10 +202,10 @@ def test_criterion_6_property_suites():
     # parent's connectivity unchecked.
     for _ in range(20):
         t = random_tree(rng.randrange(2, 9), rng)
-        for child in children(t, SearchSpace.TREES):
+        for child in children(t, SearchSpace.TREES)[0]:
             assert rebuilt(child).is_tree()
         g = random_connected_graph(rng.randrange(2, 9), rng)
-        for child in children(g, SearchSpace.CONNECTED):
+        for child in children(g, SearchSpace.CONNECTED)[0]:
             assert rebuilt(child).is_connected()
 
     # Accepted-score strict monotonicity, the order floor, and

@@ -272,7 +272,7 @@ def test_c8_decides_paths_exactly(monkeypatch):
         lap = laplacian_matrix(adjacency_matrix(g)).astype(float)
         assert np.linalg.eigvalsh(lap)[1] == pytest.approx(2 - 2 * math.cos(math.pi / n), abs=1e-12)
         with mp.workdps(60):
-            prox = proximity(all_pairs_distances(g))
+            prox, = proximity(all_pairs_distances([g]))
             a_pi = 2 * (1 - mp.cos(mp.pi / n)) * prox.numerator / prox.denominator
             assert abs(conjectures._cosine_bound(n, conjectures._DIGITS60) - a_pi) < zero_band
             if n <= 24 or n == 64:  # the 60-digit stage's own verdict
@@ -411,7 +411,8 @@ def test_distance_inertia_counts_tree_distance_eigenvalues():
     cases = []
     for n in range(2, 11):
         for g in map(from_networkx, nx.nonisomorphic_trees(n)):
-            ts = [-proximity(all_pairs_distances(g)), Fraction(-2), Fraction(-1), Fraction(-1, 2)]
+            prox, = proximity(all_pairs_distances([g]))
+            ts = [-prox, Fraction(-2), Fraction(-1), Fraction(-1, 2)]
             cases += [(g, t) for t in ts + [Fraction(-rng.randint(1, 40), rng.randint(1, 12))
                                              for _ in range(6)]]
     ties = 0
@@ -523,6 +524,12 @@ def _same_bits(a: conjectures.Score, b: conjectures.Score) -> bool:
     return all(repr(getattr(a, f)) == repr(getattr(b, f)) for f in fields)
 
 
+def _representatives(g: Graph, space: SearchSpace) -> list[Graph]:
+    """The first child of each move class of g, in move order."""
+    kids, reps = children(g, space)
+    return [kids[i] for i in sorted(set(reps))]
+
+
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
 def test_expansion_memos_equal_single_evaluations_bit_for_bit(cid):
     # The search scores an expansion's class representatives one by one.
@@ -539,7 +546,7 @@ def test_expansion_memos_equal_single_evaluations_bit_for_bit(cid):
         if spec.space is SearchSpace.CONNECTED:
             parents.append(random_connected_graph(n, rng))
         for parent in parents:
-            reps = [c for c in children(parent, spec.space) if c._sibling is None]
+            reps = _representatives(parent, spec.space)
             scored = []
             for child in reps:
                 if not check_hypotheses(cid, child):
@@ -549,6 +556,30 @@ def test_expansion_memos_equal_single_evaluations_bit_for_bit(cid):
                 assert child._score == (cid, sc)
                 fresh = alone(conjectures._SCORERS[cid], child)
                 assert _same_bits(sc, fresh), (cid, n, sc, fresh)
+
+
+@pytest.mark.parametrize("cid", sorted(REGISTRY))
+def test_a_labelled_child_scores_its_own_labelling(cid):
+    # Outside a search nothing sends a child to its class representative:
+    # once the representative is scored, a later child of its class gets a
+    # Score of its own, its own evaluation bit for bit.
+    spec = get_conjecture(cid)
+    rng = random.Random(100 + cid)
+    parents = [random_tree(9, rng), star(6)]  # a star's leaves are twins
+    if spec.space is SearchSpace.CONNECTED:
+        parents.append(random_connected_graph(8, rng))
+    checked = 0
+    for parent in parents:
+        kids, reps = children(parent, spec.space)
+        for child, r in zip(kids, reps):
+            if child is kids[r] or check_hypotheses(cid, child):
+                continue
+            rep_sc = score(cid, kids[r])
+            sc = score(cid, child)
+            assert sc is not rep_sc
+            assert _same_bits(sc, alone(conjectures._SCORERS[cid], child)), (cid, sc)
+            checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
@@ -564,7 +595,7 @@ def test_playout_memos_equal_single_evaluations_bit_for_bit(cid):
         if spec.space is SearchSpace.CONNECTED:
             parents.append(random_connected_graph(n, rng))
         for parent in parents:
-            outs = playouts(children(parent, spec.space), depth, spec.space, rng)
+            outs = playouts(children(parent, spec.space)[0], depth, spec.space, rng)
             scored = [(p, score(cid, p)) for p in outs if not check_hypotheses(cid, p)]
             assert scored
             for p, sc in scored:
@@ -581,7 +612,7 @@ def test_an_expansions_playouts_share_chunks(monkeypatch):
     monkeypatch.setattr(conjectures._Arithmetic, "over",
                         lambda ar, chunk: chunks.append(chunk) or over(ar, chunk))
     rng = random.Random(10)
-    outs = playouts(children(random_tree(10, rng), SearchSpace.CONNECTED), 2,
+    outs = playouts(children(random_tree(10, rng), SearchSpace.CONNECTED)[0], 2,
                     SearchSpace.CONNECTED, rng)
     for p in outs:
         score(7, p)
@@ -604,10 +635,10 @@ def test_a_chunk_builds_one_adjacency_stack(monkeypatch, cid):
         monkeypatch.setattr(module, "adjacency_matrix",
                             lambda gs: stacks.append(gs) or adjacency(gs))
     parent = random_connected_graph(9, random.Random(cid))
-    kids = children(parent, SearchSpace.CONNECTED)
+    kids, reps = children(parent, SearchSpace.CONNECTED)
     score(cid, kids[0])
     assert len(chunks) == len(stacks) == 2 and all(a is b for a, b in zip(chunks, stacks))
-    assert all(c._score[0] == cid for c in kids if c._sibling is None)
+    assert all(kids[r]._score[0] == cid for r in reps)
 
 
 @pytest.mark.parametrize("first", [0, 1], ids=["healthy-first", "raising-first"])
@@ -615,7 +646,7 @@ def test_a_failing_brood_member_raises_only_at_its_own_call(monkeypatch, first):
     # path(3)'s connected-space representatives: P4 from a leaf, the star
     # K1,3, P4 from a subdivision and the triangle, which is no tree. The
     # star's scorer raises and the triangle fails c5's hypotheses.
-    reps = [c for c in children(path(3), SearchSpace.CONNECTED) if c._sibling is None]
+    reps = _representatives(path(3), SearchSpace.CONNECTED)
     assert [(c.n, c.m) for c in reps] == [(4, 3), (4, 3), (4, 3), (3, 3)]
     star_child, triangle = reps[1], reps[3]
     scorer = conjectures._SCORERS[5]
@@ -649,7 +680,7 @@ def test_a_member_whose_chunk_fails_is_scored_alone(monkeypatch):
     # member still scores its own evaluation, bit for bit; the marked one
     # raises NumericError at each of its calls and never gets a memo.
     parent = random_connected_graph(7, random.Random(18))
-    reps = [c for c in children(parent, SearchSpace.CONNECTED) if c._sibling is None]
+    reps = _representatives(parent, SearchSpace.CONNECTED)
     marked = next(c for c in reps[1:] if c.n == reps[0].n)
     marked_adjacency = graphs.adjacency_matrix(marked)
     eigvalsh = np.linalg.eigvalsh
@@ -699,10 +730,10 @@ def test_a_large_expansion_is_scored_in_bounded_chunks(monkeypatch):
     distances = conjectures.all_pairs_distances
     monkeypatch.setattr(conjectures, "all_pairs_distances",
                         lambda gs: elements.append(len(gs) * gs[0].n ** 2) or distances(gs))
-    kids = children(random_tree(60, random.Random(60)), SearchSpace.CONNECTED)
-    reps = [c for c in kids if c._sibling is None]
-    assert len(kids) == 1830 and len(reps) > 1000
+    kids, reps = children(random_tree(60, random.Random(60)), SearchSpace.CONNECTED)
+    firsts = [kids[i] for i in sorted(set(reps))]
+    assert len(kids) == 1830 and len(firsts) > 1000
     score(7, kids[0])
     # Each of the two orders needs several chunks, each one sweep and solve.
     assert len(elements) > 4 and max(elements) <= conjectures._CHUNK_ELEMENTS
-    assert all(c._brood is None and c._score[0] == 7 for c in reps)
+    assert all(c._brood is None and c._score[0] == 7 for c in firsts)

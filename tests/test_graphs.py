@@ -156,13 +156,13 @@ def test_legal_moves_rejects_disconnected():
 
 def test_apply_move_remove_leaf_inverts_add_leaf():
     g = path(4)
-    grown = children(g, SearchSpace.TREES)[2]  # a leaf at 2, which is vertex 4
+    grown = children(g, SearchSpace.TREES)[0][2]  # a leaf at 2, which is vertex 4
     assert apply_move(grown, 4) == g
 
 
 def test_apply_move_smooth_inverts_subdivide():
     g = path(2)
-    sub = children(g, SearchSpace.TREES)[2]  # (0, 1) subdivided by vertex 2
+    sub = children(g, SearchSpace.TREES)[0][2]  # (0, 1) subdivided by vertex 2
     assert apply_move(sub, 2) == g
     # Smoothing a degree-2 vertex whose neighbors are adjacent would create
     # a multi-edge, so such a vertex is not removable.
@@ -212,7 +212,7 @@ def test_random_playout_matches_choice_over_legal_moves():
 
 
 def test_playouts_draw_in_order_and_link_the_fresh_ones():
-    kids = children(random_tree(7, random.Random(2)), SearchSpace.CONNECTED)
+    kids, _ = children(random_tree(7, random.Random(2)), SearchSpace.CONNECTED)
     for depth in (0, 1, 3):
         rng, ref_rng = random.Random(depth), random.Random(depth)
         outs = playouts(kids, depth, SearchSpace.CONNECTED, rng)
@@ -230,7 +230,7 @@ def test_forward_moves_match_a_validated_rebuild():
     graphs = [(random_tree(n, rng), SearchSpace.TREES) for n in range(1, 13)]
     graphs += [(random_connected_graph(n, rng), SearchSpace.CONNECTED) for n in range(1, 13)]
     for g, space in graphs:
-        for child in children(g, space):
+        for child in children(g, space)[0]:
             rebuilt = Graph(child.n, child.edges())
             assert (child.n, child.m, child._adj) == (rebuilt.n, rebuilt.m, rebuilt._adj)
             assert child == rebuilt and hash(child) == hash(rebuilt)
@@ -307,9 +307,9 @@ def test_children_match_hand_built_children_and_know_they_are_connected():
             tree, connected = random_tree(n, rng), random_connected_graph(n, rng)
             for g, space in [(tree, SearchSpace.TREES), (tree, SearchSpace.CONNECTED),
                              (connected, SearchSpace.CONNECTED)]:
-                kids = children(g, space)
+                kids, reps = children(g, space)
                 moves = legal_moves(g, space)
-                assert len(kids) == len(moves)
+                assert len(kids) == len(reps) == len(moves)
                 for child, move in zip(kids, moves):
                     assert child._connected is True and child.m == g.m + 1
                     assert child._adj == rebuilt(child)._adj
@@ -346,10 +346,10 @@ def test_forward_moves_preserve_space_membership(seed, n):
     rng = random.Random(seed)
     t = random_tree(n, rng)
     # A rebuilt copy knows nothing, so this walks each child.
-    for child in children(t, SearchSpace.TREES):
+    for child in children(t, SearchSpace.TREES)[0]:
         assert rebuilt(child).is_tree()
     g = random_connected_graph(n, rng)
-    for child in children(g, SearchSpace.CONNECTED):
+    for child in children(g, SearchSpace.CONNECTED)[0]:
         assert rebuilt(child).is_connected()
 
 
@@ -490,15 +490,15 @@ def test_tree_key_rejects_a_graph_with_a_cycle():
 
 
 def _siblings(g: Graph, space: SearchSpace) -> list[tuple[Graph, Graph | None]]:
-    """Each child of g, in move order, with the sibling it refers to."""
-    kids = list(children(g, space))
+    """Each child of g, in move order, with its class representative, or
+    None for a representative."""
+    kids, reps = children(g, space)
     assert kids == [_expected_child(g, u, v) for u, v in legal_moves(g, space)]
-    for i, child in enumerate(kids):
-        rep = child._sibling
-        # The sibling is the first of its class: an earlier child, itself
-        # referring to none.
-        assert rep is None or (any(k is rep for k in kids[:i]) and rep._sibling is None)
-    return [(child, child._sibling) for child in kids]
+    for i, r in enumerate(reps):
+        # The representative is the first of its class: this child or an
+        # earlier one, itself its own representative.
+        assert r <= i and reps[r] == r
+    return [(child, None if r == i else kids[r]) for i, (child, r) in enumerate(zip(kids, reps))]
 
 
 def test_value_only_children_reuse_each_class_representative():
@@ -509,18 +509,18 @@ def test_value_only_children_reuse_each_class_representative():
     for n in range(3, 31):
         for space, g in ((SearchSpace.TREES, random_tree(n, rng)),
                          (SearchSpace.CONNECTED, random_connected_graph(n, rng))):
-            labelled = children(g, space)
-            reps = [c for c in labelled if c._sibling is None]
-            quick = children(g, space, values_only=True)
-            assert len(quick) == len(labelled)
-            at = {id(c): i for i, c in enumerate(labelled)}
-            for child, entry in zip(labelled, quick):
-                if child._sibling is not None:
-                    assert entry is quick[at[id(child._sibling)]]
+            labelled, reps = children(g, space)
+            rep_children = [labelled[i] for i in sorted(set(reps))]
+            quick, quick_reps = children(g, space, values_only=True)
+            assert len(quick) == len(labelled) and quick_reps == reps
+            for i, (entry, r) in enumerate(zip(quick, reps)):
+                if r != i:
+                    assert entry is quick[r]
             firsts = list({id(c): c for c in quick}.values())
-            assert firsts == reps and all(c._sibling is None for c in firsts)
+            assert firsts == rep_children
+            assert list(map(id, firsts)) == [id(quick[i]) for i in sorted(set(reps))]
             assert all(c._brood is firsts[0]._brood for c in firsts)
-            assert firsts[0]._brood == reps
+            assert firsts[0]._brood == rep_children
 
 
 def test_children_share_a_class_only_with_isomorphic_siblings_in_connected_space():

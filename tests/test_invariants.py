@@ -198,9 +198,9 @@ def test_peak_stats_rejects_non_trees():
 def test_diameter_and_proximity():
     assert all_pairs_distances(path(5)).max() == 4
     assert all_pairs_distances(complete(6)).max() == 1
-    assert proximity(all_pairs_distances(path(3))) == Fraction(1)
-    assert proximity(all_pairs_distances(path(4))) == Fraction(4, 3)
-    assert proximity(all_pairs_distances(star(9))) == Fraction(1)
+    assert proximity(all_pairs_distances([path(3)])) == [Fraction(1)]
+    assert proximity(all_pairs_distances([path(4)])) == [Fraction(4, 3)]
+    assert proximity(all_pairs_distances([star(9)])) == [Fraction(1)]
 
 
 def test_chemical_indices_frozen():

@@ -217,24 +217,37 @@ def test_amcs_rejects_negative_or_non_finite_time_budget():
 )
 def test_amcs_trace_is_unchanged_by_the_score_memo(monkeypatch, cid, initial, params):
     # One run scores the graphs amcs hands it, so repeats hit the memo on
-    # the Graph and a child shares the memo of the first sibling of its
-    # class; the other scores a fresh copy each time. The two runs must make
-    # the same calls and leave the same trace, and every value the search
-    # sees must equal a fresh evaluation of the graph scored or of a
-    # sibling proven isomorphic to it. A depth-0 level-1 expansion builds no
-    # sibling: its later entries of a class reuse the representative itself,
-    # and every call on one reads that representative's memo.
+    # the Graph; the other scores a fresh copy each time. The two runs must
+    # make the same calls and leave the same trace, and every value the
+    # search sees must equal a fresh evaluation of the graph scored. The
+    # search values each child by its class representative, so a labelled
+    # child after the first of its class is never scored: it is proven
+    # isomorphic to its representative, by equal keys through one ids for
+    # trees and by an explicit relabelling otherwise. A depth-0 level-1
+    # expansion builds no such child: its later entries of a class reuse
+    # the representative itself.
     evaluations = []
     scorer = conjectures._SCORERS[cid]
     monkeypatch.setitem(conjectures._SCORERS, cid,
                         lambda g, ar: evaluations.append(g) or scorer(g, ar))
     reused = []
+    ids: dict = {}
     expand = search.children
 
     def counting(g, space, values_only=False):
-        kids = expand(g, space, values_only)
+        kids, reps = expand(g, space, values_only)
         reused.append(len(kids) - len(set(map(id, kids))))
-        return kids
+        for child, r in zip(kids, reps):
+            rep = kids[r]
+            if child is rep:
+                continue
+            if params.trees_only:
+                assert tree_key(child, ids)[0] == tree_key(rep, ids)[0]
+            else:
+                p = isomorphism(child, rep)
+                assert p is not None
+                assert Graph(child.n, [(p[u], p[v]) for u, v in child.edges()]) == rep
+        return kids, reps
 
     monkeypatch.setattr(search, "children", counting)
 
@@ -257,25 +270,18 @@ def test_amcs_trace_is_unchanged_by_the_score_memo(monkeypatch, cid, initial, pa
     fresh_trace, fresh_seen, fresh_evals = run(copy=True)
     assert memo_trace == fresh_trace
     assert [g for g, _ in seen] == [g for g, _ in fresh_seen]
-    ids: dict = {}
+    scored = set()
     shared = 0
     for (g, value), (_, fresh_value) in zip(seen, fresh_seen):
         # The copy run evaluates each labelled graph afresh.
         assert fresh_value == alone(scorer, g).value
-        if g._sibling is not None:
-            # A shared value is the sibling's: prove the sibling isomorphic,
-            # by equal keys through one ids for trees and by an explicit
-            # relabelling otherwise, then evaluate it.
-            if params.trees_only:
-                assert tree_key(g, ids)[0] == tree_key(g._sibling, ids)[0]
-            else:
-                p = isomorphism(g, g._sibling)
-                assert p is not None
-                assert Graph(g.n, [(p[u], p[v]) for u, v in g.edges()]) == g._sibling
-            g = g._sibling
-            shared += 1
+        # A call on a graph scored before reads its memo: a later move of a
+        # representative's class, or a pass that starts from its best graph.
+        shared += id(g) in scored
+        scored.add(id(g))
         assert value == alone(scorer, g).value
-    assert 0 < shared + sum(reused) and memo_evals < fresh_evals == len(seen)
+    # Every value-only repeat is such a call.
+    assert 0 < sum(reused) <= shared and memo_evals < fresh_evals == len(seen)
 
 
 @pytest.mark.parametrize(
@@ -304,8 +310,8 @@ def test_amcs_trace_digest_is_pinned(monkeypatch, cid, start, params, deep, dige
     expansions = []
 
     def recording(g, space, values_only=False):
-        # A list, as `children` returns: an expansion reads it twice, once
-        # for its playouts and once for its children.
+        # The pair `children` returns: an expansion reads its list twice,
+        # once for its playouts and once for its children.
         expansions.append(graphs.children(g, space, values_only))
         return expansions[-1]
 
@@ -351,6 +357,39 @@ def test_amcs_score_calls_are_pinned(cid, start, params, digest):
     result = amcs(start(rng), params, score_fn, rng=rng)
     assert {r.depth for r in result.trace} >= {1, 2, 3}
     assert lines.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    ("cid", "start", "params"),
+    [
+        (7, lambda rng: random_tree(6, rng), SearchParams(max_depth=3, max_level=1, seed=1)),
+        (4, lambda rng: random_tree(6, rng),
+         SearchParams(max_depth=3, max_level=2, trees_only=True, seed=3)),
+    ],
+    ids=["c7-connected", "c4-trees"],
+)
+def test_amcs_scores_no_labelled_non_representative_child(monkeypatch, cid, start, params):
+    # Expansions at depth >= 1 or level 2 build every labelled child, and
+    # the search plays out from or expands each, but asks only for its
+    # class representative's value. The dict keeps each child alive, so no
+    # later graph reuses its id.
+    labelled = {}
+    expand = search.children
+
+    def recording(g, space, values_only=False):
+        kids, reps = expand(g, space, values_only)
+        labelled.update((id(c), c) for c, r in zip(kids, reps) if c is not kids[r])
+        return kids, reps
+
+    monkeypatch.setattr(search, "children", recording)
+
+    def score_fn(g: Graph) -> float:
+        assert id(g) not in labelled
+        return score(cid, g).value
+
+    rng = random.Random(params.seed)
+    result = amcs(start(rng), params, score_fn, rng=rng)
+    assert {r.depth for r in result.trace} >= {1, 2, 3} and labelled
 
 
 @pytest.fixture
