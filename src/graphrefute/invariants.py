@@ -5,11 +5,11 @@ a measured residual bound, which certified sign decisions read; a fast one
 carries none (inf), because the search compares values only. Everything
 that can be exact stays exact: characteristic polynomials use big integers
 (Berkowitz, division-free, over Python ints in numpy object arrays; no program
-path calls it, and it stays as the tests' reference and for a planned exact
-count off trees), degree-based indices and proximity use ``fractions.Fraction``,
+path calls it, and it stays only as the tests' reference and as a layer the
+benchmark's tracer names), degree-based indices and proximity use ``fractions.Fraction``,
 matching takes Edmonds' polynomial blossom algorithm, and the NP-hard
 independence and domination numbers are solved exactly by exponential search
-rather than heuristics; on trees, both take linear leaf rules. A tree's
+rather than heuristics; on trees, all three take linear leaf rules. A tree's
 characteristic polynomials take one leaves-first pass each: adjacency as
 matching counts, distance as
 det(xI - D) = -det [[xL + 2I, tau], [x tau^T, n - 1]] / 4, tau_v = 2 - deg v,
@@ -281,7 +281,21 @@ def harmonic(g: Graph) -> Fraction:
 
 
 def matching_number(g: Graph) -> int:
-    """Size of a maximum matching, via Edmonds' blossom algorithm."""
+    """Size of a maximum matching: a leaf rule on trees, Edmonds' blossom
+    algorithm otherwise.
+
+    The leaf rule walks a tree leaves first and matches a vertex to its
+    parent when both are still free; some maximum matching holds every edge
+    it takes.
+    """
+    if g.is_tree():
+        order, parent = bfs_tree(g)
+        free, size = [True] * g.n, 0
+        for u in reversed(order[1:]):
+            if free[u] and free[parent[u]]:
+                free[u] = free[parent[u]] = False
+                size += 1
+        return size
     n, adj = g.n, g._adj
     match = [-1] * n
     # Greedy seed matching; augmenting paths fix whatever it misses.

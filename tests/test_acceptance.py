@@ -107,7 +107,7 @@ def test_criterion_2_closed_form_exactness():
     assert not failures, "; ".join(failures)
 
 
-def _search_until_certified(conjecture_id: int, seeds, budget: float):
+def _search_until_certified(conjecture_id: int, seeds, budget: float, space: SearchSpace):
     """Mirror the CLI loop: independent seeds, stop at first certified hit."""
     spec = get_conjecture(conjecture_id)
     for seed in seeds:
@@ -118,7 +118,7 @@ def _search_until_certified(conjecture_id: int, seeds, budget: float):
         else:
             initial = construct(kind, order)
         params = SearchParams(
-            trees_only=spec.space is SearchSpace.TREES,
+            trees_only=space is SearchSpace.TREES,
             seed=seed,
             time_budget=budget,
         )
@@ -126,7 +126,7 @@ def _search_until_certified(conjecture_id: int, seeds, budget: float):
         def score_value(g: Graph) -> float:
             return score(conjecture_id, g).value
 
-        result = amcs(initial, params, score_value, spec.space, rng)
+        result = amcs(initial, params, score_value, space, rng)
         if result.found and verify_strict(conjecture_id, result.best_graph) is Verdict.CERTIFIED:
             return result
     return None
@@ -138,9 +138,15 @@ def test_criterion_3_search_success():
     budgets = {2: 540.0, 8: 1200.0}
     failures = []
     for cid in range(1, 11):
-        result = _search_until_certified(cid, seeds, budgets.get(cid, 300.0))
-        if result is None:
-            failures.append(f"conjecture {cid}: no certified counterexample")
+        # c1, c8, c9 and c10 search trees by default and hold for every
+        # connected graph, so their connected-space searches stay covered.
+        spaces = [get_conjecture(cid).space]
+        if cid in (1, 8, 9, 10):
+            spaces.append(SearchSpace.CONNECTED)
+        for space in spaces:
+            result = _search_until_certified(cid, seeds, budgets.get(cid, 300.0), space)
+            if result is None:
+                failures.append(f"conjecture {cid} in {space.value} space: no certified counterexample")
     assert not failures, "; ".join(failures)
 
 

@@ -201,6 +201,37 @@ def test_refute_no_trees_only_searches_connected_space_for_conjecture_2(capsys):
     assert "n=6 m=7 score=" in out
 
 
+def _config_and_digest(out: str) -> tuple[str, str]:
+    lines = out.splitlines()
+    return (next(l for l in lines if l.startswith("config: ")),
+            next(l for l in lines if l.startswith("trace_sha256: ")))
+
+
+def test_refute_no_trees_only_replays_the_connected_search_of_conjecture_8(capsys):
+    # Conjecture 8 searches tree space by default, and the flag keeps its
+    # connected-space search, pinned here by its trace digest. The digest
+    # holds spectral floats, so it needs one BLAS thread (conftest.py).
+    code, out, _ = run(capsys, ["refute", "--conjecture", "8", "--seed", "1", "--no-trees-only"])
+    assert code == 0
+    assert "verdict: certified" in out.splitlines()
+    config, digest = _config_and_digest(out)
+    assert " trees_only=false " in config
+    assert digest == "trace_sha256: 894b06b944afb7f73bb1835d234a2adbdc4168dc48a9aa6dd2b7315b4c22c8cf"
+    code, out, _ = run(capsys, ["refute", "--conjecture", "8", "--seed", "1"])
+    assert code == 0
+    assert " trees_only=true " in _config_and_digest(out)[0]
+
+
+def test_refute_conjecture_7_searches_connected_space_by_default(capsys):
+    # Tree space certified none of c7's first ten seeds, so c7 alone of the
+    # conjectures that hold for connected graphs keeps connected space.
+    code, out, _ = run(capsys, ["refute", "--conjecture", "7", "--seed", "1"])
+    assert code == 0
+    config, digest = _config_and_digest(out)
+    assert " trees_only=false " in config
+    assert digest == "trace_sha256: 388d66da74a8152e4208cb25d08e33b36adfba7b27f53a339344c82f91aa787e"
+
+
 def test_verify_command(tmp_path, capsys):
     good = write_g6(tmp_path, build_family("T1", 2), "good.g6")
     code, out, _ = run(capsys, ["verify", "--conjecture", "5", good])

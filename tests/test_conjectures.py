@@ -55,7 +55,7 @@ from graphrefute.graphs import (
 def test_registry_contents():
     assert sorted(REGISTRY) == list(range(1, 11))
     tree_space = {cid for cid, s in REGISTRY.items() if s.space is SearchSpace.TREES}
-    assert tree_space == {2, 3, 4, 5, 6}
+    assert tree_space == {1, 2, 3, 4, 5, 6, 8, 9, 10}
     assert {cid for cid, s in REGISTRY.items() if s.requires_tree} == {3, 5, 6}
     orders = {cid: s.min_order for cid, s in REGISTRY.items()}
     assert orders == {1: 3, 2: 4, 3: 2, 4: 1, 5: 2, 6: 2, 7: 3, 8: 3, 9: 3, 10: 3}
@@ -524,6 +524,14 @@ def _same_bits(a: conjectures.Score, b: conjectures.Score) -> bool:
     return all(repr(getattr(a, f)) == repr(getattr(b, f)) for f in fields)
 
 
+def _spaces(spec, parents: list[Graph]) -> list[tuple[Graph, SearchSpace]]:
+    """Each parent with each space it is expanded in, named here rather than
+    read off the catalog's default: every parent in connected space unless
+    the conjecture holds for trees only, then the trees in tree space."""
+    cases = [] if spec.requires_tree else [(g, SearchSpace.CONNECTED) for g in parents]
+    return cases + [(g, SearchSpace.TREES) for g in parents if g.is_tree()]
+
+
 def _representatives(g: Graph, space: SearchSpace) -> list[Graph]:
     """The first child of each move class of g, in move order."""
     kids, reps = children(g, space)
@@ -536,17 +544,18 @@ def test_expansion_memos_equal_single_evaluations_bit_for_bit(cid):
     # Whatever `score` does with the rest of the expansion at the first
     # call, each representative's memo must be its own evaluation, bit for
     # bit. c8 reads Laplacians, whose zeros LAPACK's Householder step sees
-    # the sign of; c2 runs on trees up to n = 70. c3's exact char-poly
-    # score stops at 13, where its Berkowitz runs still take milliseconds.
+    # the sign of; c2 also runs on trees of 40 and 70 vertices, which its
+    # search reaches. c3's exact char-poly score stops at 13, where its
+    # Berkowitz runs still take milliseconds.
     spec = get_conjecture(cid)
     rng = random.Random(cid)
     orders = [*range(3, 14 if cid == 3 else 26, 2), *([40, 70] if cid == 2 else [])]
     for n in orders:
         parents = [random_tree(n, rng)]
-        if spec.space is SearchSpace.CONNECTED:
+        if not spec.requires_tree and n < 26:
             parents.append(random_connected_graph(n, rng))
-        for parent in parents:
-            reps = _representatives(parent, spec.space)
+        for parent, space in _spaces(spec, parents):
+            reps = _representatives(parent, space)
             scored = []
             for child in reps:
                 if not check_hypotheses(cid, child):
@@ -566,11 +575,11 @@ def test_a_labelled_child_scores_its_own_labelling(cid):
     spec = get_conjecture(cid)
     rng = random.Random(100 + cid)
     parents = [random_tree(9, rng), star(6)]  # a star's leaves are twins
-    if spec.space is SearchSpace.CONNECTED:
+    if not spec.requires_tree:
         parents.append(random_connected_graph(8, rng))
     checked = 0
-    for parent in parents:
-        kids, reps = children(parent, spec.space)
+    for parent, space in _spaces(spec, parents):
+        kids, reps = children(parent, space)
         for child, r in zip(kids, reps):
             if child is kids[r] or check_hypotheses(cid, child):
                 continue
@@ -592,10 +601,10 @@ def test_playout_memos_equal_single_evaluations_bit_for_bit(cid):
     rng = random.Random(cid)
     for n, depth in zip(range(3, 10 if cid == 3 else 26, 2), itertools.cycle((1, 2, 3))):
         parents = [random_tree(n, rng)]
-        if spec.space is SearchSpace.CONNECTED:
+        if not spec.requires_tree:
             parents.append(random_connected_graph(n, rng))
-        for parent in parents:
-            outs = playouts(children(parent, spec.space)[0], depth, spec.space, rng)
+        for parent, space in _spaces(spec, parents):
+            outs = playouts(children(parent, space)[0], depth, space, rng)
             scored = [(p, score(cid, p)) for p in outs if not check_hypotheses(cid, p)]
             assert scored
             for p, sc in scored:

@@ -382,6 +382,19 @@ def test_matching_number_needs_blossoms():
     assert matching_number(Graph(1)) == 0
 
 
+def test_matching_number_on_trees_matches_networkx():
+    # Trees take the leaf rule, not the blossom search; networkx's own
+    # maximum matching is the reference, on every tree up to 10 vertices and
+    # on random trees at the orders the searches reach and beyond.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    trees = [from_networkx(t) for n in range(2, 11) for t in nx.nonisomorphic_trees(n)]
+    trees += [random_tree(rng.randrange(1, 151), rng) for _ in range(200)]
+    for t in trees + [Graph(1), path(2), star(8), build_family("T2B", 40)]:
+        want = len(nx.max_weight_matching(to_networkx(t), maxcardinality=True))
+        assert matching_number(t) == want, list(t.edges())
+
+
 def test_independence_and_domination_frozen():
     assert independence_number(cycle(5)) == 2
     assert independence_number(petersen()) == 4
@@ -499,10 +512,11 @@ def _random_bipartite(n: int, rng: random.Random, chords: int) -> Graph:
 
 @pytest.mark.filterwarnings("ignore::graphrefute.invariants.PerformanceWarning")
 def test_independence_matches_koenig_on_bipartite_graphs():
-    # A bipartite graph's alpha is n - mu (Koenig), and Edmonds' blossom
-    # algorithm finds mu independently of either independence rule. Trees take
-    # the leaf rule, and T(2,b)'s alpha is 2b - 1; the other graphs take the
-    # two-way branch, some above the size guard.
+    # A bipartite graph's alpha is n - mu (Koenig), and mu is found
+    # independently of either independence rule: on trees by the matching
+    # leaf rule, otherwise by Edmonds' blossom algorithm. Trees take the
+    # independence leaf rule, and T(2,b)'s alpha is 2b - 1; the other graphs
+    # take the two-way branch, some above the size guard.
     nx = pytest.importorskip("networkx")
     rng = random.Random(37)
     trees = [random_tree(rng.randrange(1, 251), rng) for _ in range(2000)]
